@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.{BufferUnderflowException, ByteBuffer, ByteOrder}
+
 /** Fixed-width bit packing over a `Array[Long]` word buffer.
   *
   * Values are stored as unsigned integers of a fixed width `b` in `[0, 64]`
@@ -67,6 +69,34 @@ object BitPack {
     val got  = 64 - off
     val v    = if (got >= b) lo else lo | (words(w + 1) << got)
     if (b == 64) v else v & ((1L << b) - 1)
+  }
+
+  /** Bytes of `n` values of width `b` in a byte layout: the bit stream
+    * rounded up to a whole byte.
+    */
+  def payloadBytes(n: Int, b: Int): Long = (n.toLong * b + 7) / 8
+
+  /** Write the `payloadBytes(n, b)` bytes of `words`, little-endian. */
+  def putPayload(buf: ByteBuffer, words: Array[Long], n: Int, b: Int): Unit = {
+    val bytes = payloadBytes(n, b).toInt
+    val full  = bytes >>> 3
+    buf.slice().order(ByteOrder.LITTLE_ENDIAN).asLongBuffer().put(words, 0, full)
+    buf.position(buf.position() + full * 8)
+    var k = 0
+    while (k < (bytes & 7)) { buf.put((words(full) >>> (8 * k)).toByte); k += 1 }
+  }
+
+  /** Read `n` values of width `b` written by [[putPayload]] into a word buffer. */
+  def getPayload(buf: ByteBuffer, n: Int, b: Int): Array[Long] = {
+    val bytes = payloadBytes(n, b)
+    if (bytes > buf.remaining) throw new BufferUnderflowException
+    val words = new Array[Long](wordsFor(n, b))
+    val full  = (bytes >>> 3).toInt
+    buf.slice().order(ByteOrder.LITTLE_ENDIAN).asLongBuffer().get(words, 0, full)
+    buf.position(buf.position() + full * 8)
+    var k = 0
+    while (k < (bytes & 7)) { words(full) |= (buf.get() & 0xffL) << (8 * k); k += 1 }
+    words
   }
 
   /** Unpack `n` values of width `b` starting at logical index 0. */

@@ -1,6 +1,7 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
+import java.nio.ByteBuffer
+import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
 
 /** One encoded LeCo partition: linear model + fixed-width biased deltas +
   * the θ1-accumulation error-correction list (§3.3).
@@ -8,9 +9,13 @@ import scala.collection.mutable.ArrayBuffer
   * `corrections` holds the in-partition positions where sequential decode via
   * `pred += θ1` floors differently from direct inference `floor(θ0 + θ1·i)`;
   * at those positions the decoder recomputes directly and resynchronizes.
+  *
+  * Byte layout: `[len:i32][θ0:f64][θ1:f64][width:u8]`, then, when the high
+  * bit of the width byte is set, `[count:i32][position:i32 × count]` of the
+  * correction list, then the packed deltas.
   */
 final case class LecoPartition(theta0: Double, theta1: Double, width: Int,
-                               len: Int, words: Array[Long], corrections: Array[Int]) {
+                               len: Int, words: Array[Long], corrections: Array[Int]) extends EncodedPartition {
   @inline def predict(j: Int): Long = math.floor(theta0 + theta1 * j).toLong
   @inline def get(j: Int): Long = predict(j) + BitPack.read(words, j, width)
 
@@ -34,11 +39,53 @@ final case class LecoPartition(theta0: Double, theta1: Double, width: Int,
     }
   }
 
-  def payloadBytes: Long = (len.toLong * width + 7) / 8
-  def sizeBytes: Long = Codec.LinearHeaderBytes + payloadBytes + corrections.length.toLong * 4
+  /** Partition-bound skipping plus LeCo's in-partition computation pruning
+    * (§5.1.1): model prediction is a lower bound of the value (deltas are
+    * biased non-negative), so with θ1 > 0 the scanner jumps over position
+    * ranges whose value interval provably misses the predicate.
+    */
+  override def scanInto(pred: ScanPredicate, base: Int, out: ArrayBuilder.ofInt): Unit = {
+    val maxDelta = if (width >= 63) Long.MaxValue / 2 else (1L << width) - 1
+    val pLo = math.min(predict(0), predict(len - 1))
+    val pHi = math.max(predict(0), predict(len - 1)) + maxDelta
+    if (pred.mayMatch(pLo, pHi)) {
+      val jumpable = theta1 > 0
+      var j = 0
+      while (j < len) {
+        val lo = predict(j)
+        if (jumpable && pred.nextMatch(lo) > lo + maxDelta) {
+          // no value at or after j can match before the next match:
+          // values at positions j..k-1 all lie in [lo, nextMatch).
+          val target = pred.nextMatch(lo) - maxDelta
+          val skip = math.max(1L, ((target - theta0) / theta1).toLong - j)
+          j += math.min(skip, (len - j).toLong).toInt
+        } else {
+          // value = lo + delta: reuse the bound instead of a second predict
+          if (pred.test(lo + BitPack.read(words, j, width))) out += base + j
+          j += 1
+        }
+      }
+    }
+  }
+
+  def payloadBytes: Long = BitPack.payloadBytes(len, width)
+  def sizeBytes: Long =
+    Codec.LinearHeaderBytes + (if (corrections.isEmpty) 0 else 4 + 4L * corrections.length) + payloadBytes
+
+  def writeTo(buf: ByteBuffer): Unit = {
+    buf.putInt(len).putDouble(theta0).putDouble(theta1)
+    if (corrections.isEmpty) buf.put(width.toByte)
+    else {
+      buf.put((width | LecoPartition.CorrectionsFlag).toByte).putInt(corrections.length)
+      corrections.foreach(buf.putInt)
+    }
+    BitPack.putPayload(buf, words, len, width)
+  }
 }
 
 object LecoPartition {
+  private val CorrectionsFlag = 0x80
+
   /** Fit + encode one partition of `values(from until until)`. */
   def encode(values: Array[Long], from: Int, until: Int): LecoPartition = {
     val fit   = Regressor.fitLinear(values, from, until)
@@ -57,6 +104,21 @@ object LecoPartition {
     }
     LecoPartition(m.theta0, m.theta1, fit.bitWidth, n, words, corr.toArray)
   }
+
+  def read(buf: ByteBuffer): LecoPartition = {
+    val len = PartitionedInts.readLen(buf)
+    val t0 = buf.getDouble; val t1 = buf.getDouble
+    val flags = buf.get() & 0xff
+    val width = PartitionedInts.checkWidth(flags & ~CorrectionsFlag)
+    val corr =
+      if ((flags & CorrectionsFlag) == 0) Array.emptyIntArray
+      else {
+        val count = buf.getInt
+        require(count > 0 && count <= len, s"$count corrections in a partition of $len")
+        Array.fill(count)(buf.getInt)
+      }
+    LecoPartition(t0, t1, width, len, BitPack.getPayload(buf, len, width), corr)
+  }
 }
 
 /** LeCo with fixed-length partitions (LeCo-fix, §3.2.1).
@@ -71,42 +133,28 @@ final class LecoFixCodec(val partitionSize: Int = 0) extends IntCodec {
     val size =
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, (s, l) => LecoFixCodec.costAt(s, l))
-    val n = values.length
-    val parts = new Array[LecoPartition](((n + size - 1) / size).max(1))
-    var p = 0
-    var s = 0
-    while (s < n) { parts(p) = LecoPartition.encode(values, s, math.min(s + size, n)); p += 1; s += size }
-    new LecoFixCompressed(n, size, parts)
+    new LecoFixCompressed(values.length, size, Partitioner.encodeFixed(values, size)(LecoPartition.encode))
   }
 }
 
 object LecoFixCodec {
   /** Compressed bytes of `sample` at partition size `l` — the search cost fn. */
-  def costAt(sample: Array[Long], l: Int): Long = {
-    var total = 0L
-    var s = 0
-    while (s < sample.length) {
-      val e   = math.min(s + l, sample.length)
-      val fit = Regressor.fitLinear(sample, s, e)
-      total += Codec.LinearHeaderBytes + ((e - s).toLong * fit.bitWidth + 7) / 8
-      s = e
+  def costAt(sample: Array[Long], l: Int): Long =
+    Partitioner.fixedCost(sample, l) { (s, e) =>
+      Codec.LinearHeaderBytes + BitPack.payloadBytes(e - s, Regressor.fitLinear(sample, s, e).bitWidth)
     }
-    total
-  }
 }
 
-final class LecoFixCompressed(val n: Int, val partSize: Int,
-                              val parts: Array[LecoPartition]) extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+final class LecoFixCompressed(val n: Int, val partSize: Int, val parts: Array[LecoPartition])
+    extends FixedPartitions {
   override def modelBytes: Long = parts.length.toLong * Codec.LinearHeaderBytes
   def get(i: Int): Long = { val p = parts(i / partSize); p.get(i % partSize) }
-  def decompressAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var off = 0
-    var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
-    out
+}
+
+object LecoFixCompressed {
+  def read(buf: ByteBuffer): LecoFixCompressed = {
+    val (n, size, parts) = PartitionedInts.readFixed(buf)(LecoPartition.read)
+    new LecoFixCompressed(n, size, parts)
   }
 }
 
@@ -118,37 +166,23 @@ final class LecoFixCompressed(val n: Int, val partSize: Int,
 final class LecoVarCodec(val tau: Double = 0.1) extends IntCodec {
   val name = "LeCo-var"
 
-  def compress(values: Array[Long]): LecoVarCompressed = {
-    val ps = Partitioner.variable(values, Partitioner.LinearMode, tau)
-    val parts = new Array[LecoPartition](ps.count)
-    var k = 0
-    while (k < ps.count) { parts(k) = LecoPartition.encode(values, ps.starts(k), ps.end(k)); k += 1 }
-    new LecoVarCompressed(values.length, ps.starts, parts)
-  }
+  def compress(values: Array[Long]): LecoVarCompressed =
+    LecoVarCompressed.encode(values, Partitioner.variable(values, Partitioner.LinearMode, tau))
 }
 
-final class LecoVarCompressed(val n: Int, val starts: Array[Int],
-                              val parts: Array[LecoPartition]) extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+final class LecoVarCompressed(val n: Int, val starts: Array[Int], val parts: Array[LecoPartition])
+    extends VariablePartitions {
   override def modelBytes: Long = parts.length.toLong * Codec.LinearHeaderBytes
-
-  /** Lower-bound search: largest k with starts(k) <= i. */
-  @inline def partitionOf(i: Int): Int = {
-    var lo = 0; var hi = starts.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (starts(mid) <= i) lo = mid else hi = mid - 1
-    }
-    lo
-  }
-
   def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
+}
 
-  def decompressAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, starts(k)); k += 1 }
-    out
+object LecoVarCompressed {
+  def encode(values: Array[Long], ps: Partitions): LecoVarCompressed =
+    new LecoVarCompressed(values.length, ps.starts,
+                          Array.tabulate(ps.count)(k => LecoPartition.encode(values, ps.starts(k), ps.end(k))))
+
+  def read(buf: ByteBuffer): LecoVarCompressed = {
+    val (n, starts, parts) = PartitionedInts.readVariable(buf)(LecoPartition.read)
+    new LecoVarCompressed(n, starts, parts)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
 
 /** A partition boundary list: partition k spans `starts(k) until starts(k+1)`
   * (with an implicit final end of `n`).
@@ -66,7 +67,6 @@ object Partitioner {
     */
   def variable(values: Array[Long], mode: Mode, tau: Double): Partitions = {
     val n = values.length
-    require(n > 0, "empty input")
     val sm        = mode.modelBits
     val threshold = tau * sm
     val starts = ArrayBuffer[Int]()
@@ -146,6 +146,22 @@ object Partitioner {
     }
     best
   }
+
+  /** Sum of `cost(from, until)` over consecutive `size`-value partitions of
+    * `values` — the shape of every fixed-size search cost fn.
+    */
+  def fixedCost(values: Array[Long], size: Int)(cost: (Int, Int) => Long): Long = {
+    var total = 0L
+    var s = 0
+    while (s < values.length) { val e = math.min(s + size, values.length); total += cost(s, e); s = e }
+    total
+  }
+
+  /** Encodes consecutive `size`-value partitions of `values`. */
+  def encodeFixed[P: ClassTag](values: Array[Long], size: Int)(encode: (Array[Long], Int, Int) => P): Array[P] =
+    Array.tabulate((values.length + size - 1) / size) { p =>
+      encode(values, p * size, math.min(p * size + size, values.length))
+    }
 
   /** Contiguous-window sample of ~`target` values (the paper samples <1%). */
   def sampleOf(values: Array[Long], target: Int, seed: Long): Array[Long] = {

@@ -1,13 +1,16 @@
 package repro.core.baseline
 
+import java.nio.ByteBuffer
 import repro.core._
 
 /** Shared encoding of one Delta partition: explicit first value + zigzag
   * adjacent diffs bit-packed at the partition's max diff width. Random
   * access must decode the partition prefix sequentially — the order-of-
   * magnitude access penalty §4.3.2 reports.
+  *
+  * Byte layout: `[len:i32][first:i64][width:u8]` + the `len - 1` diffs.
   */
-final case class DeltaPartition(first: Long, width: Int, len: Int, words: Array[Long]) {
+final case class DeltaPartition(first: Long, width: Int, len: Int, words: Array[Long]) extends EncodedPartition {
   @inline private def unzig(z: Long): Long = (z >>> 1) ^ -(z & 1L)
 
   /** Decode value at in-partition position `j` (O(j) scan). */
@@ -25,7 +28,12 @@ final case class DeltaPartition(first: Long, width: Int, len: Int, words: Array[
     while (k < len - 1) { v += unzig(BitPack.read(words, k, width)); out(outOff + k + 1) = v; k += 1 }
   }
 
-  def sizeBytes: Long = Codec.SimpleHeaderBytes + ((len - 1).toLong * width + 7) / 8
+  def sizeBytes: Long = Codec.SimpleHeaderBytes + BitPack.payloadBytes(len - 1, width)
+
+  def writeTo(buf: ByteBuffer): Unit = {
+    buf.putInt(len).putLong(first).put(width.toByte)
+    BitPack.putPayload(buf, words, len - 1, width)
+  }
 }
 
 object DeltaPartition {
@@ -37,13 +45,20 @@ object DeltaPartition {
     var k = from + 1
     while (k < until) { val z = zigzag(values(k) - values(k - 1)); if (z > maxZ) maxZ = z; k += 1 }
     val b = BitPack.bitsFor(maxZ)
-    val words = new Array[Long](BitPack.wordsFor(math.max(0, n - 1), b))
+    val words = new Array[Long](BitPack.wordsFor(n - 1, b))
     k = from + 1
     while (k < until) {
       BitPack.write(words, (k - from - 1).toLong * b, b, zigzag(values(k) - values(k - 1)))
       k += 1
     }
     DeltaPartition(values(from), b, n, words)
+  }
+
+  def read(buf: ByteBuffer): DeltaPartition = {
+    val len = PartitionedInts.readLen(buf)
+    val first = buf.getLong
+    val width = PartitionedInts.checkWidth(buf.get() & 0xff)
+    DeltaPartition(first, width, len, BitPack.getPayload(buf, len - 1, width))
   }
 }
 
@@ -55,38 +70,25 @@ final class DeltaFixCodec(val partitionSize: Int = 0) extends IntCodec {
     val size =
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, DeltaFixCodec.costAt)
-    val n = values.length
-    val parts = new Array[DeltaPartition](((n + size - 1) / size).max(1))
-    var p = 0; var s = 0
-    while (s < n) { parts(p) = DeltaPartition.encode(values, s, math.min(s + size, n)); p += 1; s += size }
-    new DeltaFixCompressed(n, size, parts)
+    new DeltaFixCompressed(values.length, size, Partitioner.encodeFixed(values, size)(DeltaPartition.encode))
   }
 }
 
 object DeltaFixCodec {
-  def costAt(sample: Array[Long], l: Int): Long = {
-    var total = 0L
-    var s = 0
-    while (s < sample.length) {
-      val e = math.min(s + l, sample.length)
-      total += DeltaPartition.encode(sample, s, e).sizeBytes
-      s = e
-    }
-    total
-  }
+  def costAt(sample: Array[Long], l: Int): Long =
+    Partitioner.fixedCost(sample, l)(DeltaPartition.encode(sample, _, _).sizeBytes)
 }
 
-final class DeltaFixCompressed(val n: Int, val partSize: Int,
-                               val parts: Array[DeltaPartition]) extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+final class DeltaFixCompressed(val n: Int, val partSize: Int, val parts: Array[DeltaPartition])
+    extends FixedPartitions {
   override def modelBytes: Long = parts.length.toLong * Codec.SimpleHeaderBytes
   def get(i: Int): Long = parts(i / partSize).get(i % partSize)
-  def decompressAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var off = 0; var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
-    out
+}
+
+object DeltaFixCompressed {
+  def read(buf: ByteBuffer): DeltaFixCompressed = {
+    val (n, size, parts) = PartitionedInts.readFixed(buf)(DeltaPartition.read)
+    new DeltaFixCompressed(n, size, parts)
   }
 }
 
@@ -98,31 +100,20 @@ final class DeltaVarCodec(val tau: Double = 0.1) extends IntCodec {
 
   def compress(values: Array[Long]): DeltaVarCompressed = {
     val ps = Partitioner.variable(values, Partitioner.DeltaMode, tau)
-    val parts = new Array[DeltaPartition](ps.count)
-    var k = 0
-    while (k < ps.count) { parts(k) = DeltaPartition.encode(values, ps.starts(k), ps.end(k)); k += 1 }
-    new DeltaVarCompressed(values.length, ps.starts, parts)
+    new DeltaVarCompressed(values.length, ps.starts,
+                           Array.tabulate(ps.count)(k => DeltaPartition.encode(values, ps.starts(k), ps.end(k))))
   }
 }
 
-final class DeltaVarCompressed(val n: Int, val starts: Array[Int],
-                               val parts: Array[DeltaPartition]) extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+final class DeltaVarCompressed(val n: Int, val starts: Array[Int], val parts: Array[DeltaPartition])
+    extends VariablePartitions {
   override def modelBytes: Long = parts.length.toLong * Codec.SimpleHeaderBytes
-  @inline def partitionOf(i: Int): Int = {
-    var lo = 0; var hi = starts.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (starts(mid) <= i) lo = mid else hi = mid - 1
-    }
-    lo
-  }
   def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
-  def decompressAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, starts(k)); k += 1 }
-    out
+}
+
+object DeltaVarCompressed {
+  def read(buf: ByteBuffer): DeltaVarCompressed = {
+    val (n, starts, parts) = PartitionedInts.readVariable(buf)(DeltaPartition.read)
+    new DeltaVarCompressed(n, starts, parts)
   }
 }

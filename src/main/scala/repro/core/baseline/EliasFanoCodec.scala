@@ -18,11 +18,7 @@ final class EliasFanoCodec(val partitionSize: Int = 0) extends IntCodec {
     val size =
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, EliasFanoCodec.costAt)
-    val n = values.length
-    val parts = new Array[EfPartition](((n + size - 1) / size).max(1))
-    var p = 0; var s = 0
-    while (s < n) { parts(p) = EfPartition.encode(values, s, math.min(s + size, n)); p += 1; s += size }
-    new EliasFanoCompressed(n, size, parts)
+    new EliasFanoCompressed(values.length, size, Partitioner.encodeFixed(values, size)(EfPartition.encode))
   }
 }
 
@@ -34,14 +30,7 @@ object EliasFanoCodec {
   }
   def costAt(sample: Array[Long], l: Int): Long = {
     val sorted = if (isSorted(sample)) sample else sample.sorted
-    var total = 0L
-    var s = 0
-    while (s < sorted.length) {
-      val e = math.min(s + l, sorted.length)
-      total += EfPartition.encodedBytes(sorted, s, e)
-      s = e
-    }
-    total
+    Partitioner.fixedCost(sorted, l)(EfPartition.encodedBytes(sorted, _, _))
   }
 }
 
@@ -132,7 +121,6 @@ object EfPartition {
 
 final class EliasFanoCompressed(val n: Int, val partSize: Int,
                                 val parts: Array[EfPartition]) extends CompressedInts {
-  def length: Int = n
   def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
   def get(i: Int): Long = parts(i / partSize).get(i % partSize)
   def decompressAll(): Array[Long] = {

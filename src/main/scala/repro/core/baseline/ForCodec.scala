@@ -1,5 +1,7 @@
 package repro.core.baseline
 
+import java.nio.ByteBuffer
+import scala.collection.mutable.ArrayBuilder
 import repro.core._
 
 /** Frame-of-Reference (FOR): each fixed-length frame stores its minimum plus
@@ -14,69 +16,72 @@ final class ForCodec(val partitionSize: Int = 0) extends IntCodec {
     val size =
       if (partitionSize > 0) partitionSize
       else Partitioner.searchFixedSize(values, ForCodec.costAt)
-    val n       = values.length
-    val nParts  = ((n + size - 1) / size).max(1)
-    val mins    = new Array[Long](nParts)
-    val widths  = new Array[Int](nParts)
-    val words   = new Array[Array[Long]](nParts)
-    var p = 0
-    var s = 0
-    while (s < n) {
-      val e   = math.min(s + size, n)
-      val (mn, mx) = Regressor.minMax(values, s, e)
-      mins(p) = mn; widths(p) = BitPack.bitsFor(mx - mn)
-      val w = new Array[Long](BitPack.wordsFor(e - s, widths(p)))
-      var j = s
-      while (j < e) { BitPack.write(w, (j - s).toLong * widths(p), widths(p), values(j) - mn); j += 1 }
-      words(p) = w
-      p += 1; s = e
-    }
-    new ForCompressed(n, size, mins, widths, words)
+    new ForCompressed(values.length, size, Partitioner.encodeFixed(values, size)(ForPartition.encode))
   }
 }
 
 object ForCodec {
-  def costAt(sample: Array[Long], l: Int): Long = {
-    var total = 0L
-    var s = 0
-    while (s < sample.length) {
-      val e   = math.min(s + l, sample.length)
-      val fit = Regressor.fitConstant(sample, s, e)
-      total += Codec.SimpleHeaderBytes + ((e - s).toLong * fit.bitWidth + 7) / 8
-      s = e
+  def costAt(sample: Array[Long], l: Int): Long =
+    Partitioner.fixedCost(sample, l) { (s, e) =>
+      Codec.SimpleHeaderBytes + BitPack.payloadBytes(e - s, Regressor.fitConstant(sample, s, e).bitWidth)
     }
-    total
+}
+
+/** One FOR frame. Byte layout: `[len:i32][min:i64][width:u8]` + offsets. */
+final case class ForPartition(min: Long, width: Int, len: Int, words: Array[Long]) extends EncodedPartition {
+  @inline def get(j: Int): Long = min + BitPack.read(words, j, width)
+
+  def decodeInto(out: Array[Long], outOff: Int): Unit = {
+    var j = 0
+    while (j < len) { out(outOff + j) = min + BitPack.read(words, j, width); j += 1 }
+  }
+
+  /** Frame skipping: a frame's values lie in [min, min + 2^w). */
+  override def scanInto(pred: ScanPredicate, base: Int, out: ArrayBuilder.ofInt): Unit = {
+    val hi = min + (if (width >= 63) Long.MaxValue - min else (1L << width) - 1)
+    if (pred.mayMatch(min, hi)) {
+      var j = 0
+      while (j < len) { if (pred.test(get(j))) out += base + j; j += 1 }
+    }
+  }
+
+  def sizeBytes: Long = Codec.SimpleHeaderBytes + BitPack.payloadBytes(len, width)
+
+  def writeTo(buf: ByteBuffer): Unit = {
+    buf.putInt(len).putLong(min).put(width.toByte)
+    BitPack.putPayload(buf, words, len, width)
   }
 }
 
-final class ForCompressed(val n: Int, val partSize: Int, val mins: Array[Long],
-                          val widths: Array[Int], val words: Array[Array[Long]])
-    extends CompressedInts {
-  def length: Int = n
-  def sizeBytes: Long = {
-    var total = 0L
-    var p = 0
-    while (p < mins.length) {
-      val len = math.min(partSize, n - p * partSize)
-      total += Codec.SimpleHeaderBytes + (len.toLong * widths(p) + 7) / 8
-      p += 1
-    }
-    total
+object ForPartition {
+  /** Exact frame reference (FOR must NOT round it through a Double: values
+    * above 2^53 would corrupt the offsets).
+    */
+  def encode(values: Array[Long], from: Int, until: Int): ForPartition = {
+    val (mn, mx) = Regressor.minMax(values, from, until)
+    val width = BitPack.bitsFor(mx - mn)
+    val words = new Array[Long](BitPack.wordsFor(until - from, width))
+    var j = from
+    while (j < until) { BitPack.write(words, (j - from).toLong * width, width, values(j) - mn); j += 1 }
+    ForPartition(mn, width, until - from, words)
   }
-  def get(i: Int): Long = {
-    val p = i / partSize
-    mins(p) + BitPack.read(words(p), i % partSize, widths(p))
+
+  def read(buf: ByteBuffer): ForPartition = {
+    val len = PartitionedInts.readLen(buf)
+    val min = buf.getLong
+    val width = PartitionedInts.checkWidth(buf.get() & 0xff)
+    ForPartition(min, width, len, BitPack.getPayload(buf, len, width))
   }
-  def decompressAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var i = 0
-    while (i < n) {
-      val p = i / partSize; val b = widths(p); val w = words(p); val mn = mins(p)
-      val e = math.min(i + partSize, n)
-      var j = i
-      while (j < e) { out(j) = mn + BitPack.read(w, j - i, b); j += 1 }
-      i = e
-    }
-    out
+}
+
+final class ForCompressed(val n: Int, val partSize: Int, val parts: Array[ForPartition])
+    extends FixedPartitions {
+  def get(i: Int): Long = parts(i / partSize).get(i % partSize)
+}
+
+object ForCompressed {
+  def read(buf: ByteBuffer): ForCompressed = {
+    val (n, size, parts) = PartitionedInts.readFixed(buf)(ForPartition.read)
+    new ForCompressed(n, size, parts)
   }
 }

@@ -26,7 +26,7 @@ final class RansCodec(val bytesPerValue: Int = 8, val blockValues: Int = 16384) 
     i = 0
     while (i < 256) { cum(i + 1) = cum(i) + freq(i); i += 1 }
 
-    val blocks = new Array[Array[Byte]](math.max(1, (n + blockValues - 1) / blockValues))
+    val blocks = new Array[Array[Byte]]((n + blockValues - 1) / blockValues)
     var blk = 0
     var s   = 0
     while (s < n) {
@@ -138,7 +138,6 @@ final class RansCompressed(val n: Int, val bpv: Int, val blockValues: Int,
                            val freq: Array[Int], val cum: Array[Int],
                            val blocks: Array[Array[Byte]]) extends CompressedInts {
   private val slotSym = Rans.slotTable(freq, cum)
-  def length: Int = n
   def sizeBytes: Long =
     256 * 2 + blocks.iterator.map(b => b.length.toLong + 4).sum
 
@@ -169,7 +168,7 @@ final class RansCompressed(val n: Int, val bpv: Int, val blockValues: Int,
 final class PlainCodec(val bytesPerValue: Int = 8) extends IntCodec {
   val name = "Plain"
   def compress(values: Array[Long]): CompressedInts = new CompressedInts {
-    def length: Int = values.length
+    def n: Int = values.length
     def sizeBytes: Long = values.length.toLong * bytesPerValue
     def get(i: Int): Long = values(i)
     def decompressAll(): Array[Long] = values.clone()

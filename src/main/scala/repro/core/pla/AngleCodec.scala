@@ -44,10 +44,6 @@ final class AngleCodec(val epsBits: Int = 8) extends IntCodec {
   }
 
   def compress(values: Array[Long]): LecoVarCompressed = {
-    val ps = partition(values)
-    val parts = new Array[LecoPartition](ps.count)
-    var k = 0
-    while (k < ps.count) { parts(k) = LecoPartition.encode(values, ps.starts(k), ps.end(k)); k += 1 }
-    new LecoVarCompressed(values.length, ps.starts, parts)
+    LecoVarCompressed.encode(values, partition(values))
   }
 }

@@ -1,32 +1,24 @@
 package repro.lecoformat
 
 import java.io.{DataInputStream, DataOutputStream, BufferedInputStream, BufferedOutputStream, FileInputStream, FileOutputStream, File}
-import java.nio.ByteBuffer
+import java.nio.{BufferUnderflowException, ByteBuffer}
+import com.github.luben.zstd.{Zstd, ZstdException}
 import repro.core._
+import repro.core.baseline.{DictCodec, ForCodec, ForCompressed}
 
 /** Column-chunk encodings supported by the columnar format (§5.1):
   * `Default` = dictionary with plain fallback (Parquet's default), `For`,
   * `LecoFix`. Partition size is fixed at write time (the paper uses 10K).
+  * Each names a codec and the reader of that codec's byte layout.
   */
-sealed abstract class Encoding(val tag: Int)
+sealed abstract class Encoding(val tag: Int, val compress: (Array[Long], Int) => ByteLayout,
+                               val read: ByteBuffer => ByteLayout)
 object Encoding {
-  case object Default extends Encoding(0)
-  case object For     extends Encoding(1)
-  case object LecoFix extends Encoding(2)
-  def of(tag: Int): Encoding = tag match {
-    case 0 => Default
-    case 1 => For
-    case 2 => LecoFix
-  }
-}
-
-/** A filter predicate the scanner can both evaluate per value and prune
-  * with, given a conservative value interval `[lo, hi]` for a partition or
-  * row group.
-  */
-trait ScanPredicate extends Serializable {
-  def test(v: Long): Boolean
-  def mayMatch(lo: Long, hi: Long): Boolean
+  case object Default extends Encoding(0, (v, _) => DictCodec.compress(v), DictCodec.read)
+  case object For     extends Encoding(1, (v, size) => new ForCodec(size).compress(v), ForCompressed.read)
+  case object LecoFix extends Encoding(2, (v, size) => new LecoFixCodec(size).compress(v), LecoFixCompressed.read)
+  def of(tag: Int): Encoding = Seq(Default, For, LecoFix).find(_.tag == tag)
+    .getOrElse(throw new IllegalArgumentException(s"unknown encoding tag $tag"))
 }
 
 /** `a <= v <= b`. */
@@ -41,7 +33,7 @@ final case class RangePredicate(a: Long, b: Long) extends ScanPredicate {
   */
 final case class TimeOfDayPredicate(mod: Long, t1: Long, t2: Long) extends ScanPredicate {
   def test(v: Long): Boolean = { val r = v % mod; r >= t1 && r < t2 }
-  def nextMatch(a: Long): Long = {
+  override def nextMatch(a: Long): Long = {
     val r = a % mod
     if (r < t1) a + (t1 - r)
     else if (r < t2) a
@@ -51,351 +43,56 @@ final case class TimeOfDayPredicate(mod: Long, t1: Long, t2: Long) extends ScanP
     if (hi - lo >= mod) true else nextMatch(lo) <= hi
 }
 
-/** Serialized column-chunk codecs. Each chunk is self-describing:
-  * `[tag:byte][zstd:byte][body...]`; when `zstd = 1` the body is
-  * zstd-compressed (the §5.1.3 block-compression experiment).
+/** A column chunk is `[tag:u8][zstd:u8][rawLen:i32]` + the encoding's codec
+  * bytes, `rawLen` of them; when `zstd = 1` those bytes are zstd-compressed
+  * (the §5.1.3 block-compression experiment).
   */
 object ChunkCodec {
-  val PlainTag = 0; val DictTag = 1; val ForTag = 2; val LecoTag = 3
-
-  /** Pick the plain byte width {1,2,4,8} covering all values. */
-  private def plainWidth(values: Array[Long]): Int = {
-    var mn = 0L; var mx = 0L
-    var i = 0
-    while (i < values.length) { val v = values(i); if (v < mn) mn = v; if (v > mx) mx = v; i += 1 }
-    if (mn >= Byte.MinValue && mx <= Byte.MaxValue) 1
-    else if (mn >= Short.MinValue && mx <= Short.MaxValue) 2
-    else if (mn >= Int.MinValue && mx <= Int.MaxValue) 4
-    else 8
-  }
+  val HeaderBytes = 6
 
   def encode(values: Array[Long], enc: Encoding, partSize: Int, zstd: Boolean): Array[Byte] = {
-    val body = enc match {
-      case Encoding.Default => encodeDefault(values)
-      case Encoding.For     => encodeFor(values, partSize)
-      case Encoding.LecoFix => encodeLeco(values, partSize)
-    }
-    val payload = if (zstd) com.github.luben.zstd.Zstd.compress(body, 3) else body
-    val out = ByteBuffer.allocate(payload.length + 6)
-    out.put(body(0)) // tag byte is duplicated pre-compression for dispatch
-    out.put(if (zstd) 1.toByte else 0.toByte)
-    out.putInt(if (zstd) body.length else 0) // uncompressed length for zstd
-    out.put(payload)
-    out.array()
+    val body    = enc.compress(values, partSize).toBytes
+    val payload = if (zstd) Zstd.compress(body, 3) else body
+    ByteBuffer.allocate(HeaderBytes + payload.length)
+      .put(enc.tag.toByte).put((if (zstd) 1 else 0).toByte).putInt(body.length).put(payload)
+      .array()
   }
 
-  def decode(bytes: Array[Byte]): ColumnChunk = {
-    val tag  = bytes(0)
-    val zstd = bytes(1) == 1
-    val rawLen = ByteBuffer.wrap(bytes, 2, 4).getInt
-    val body =
-      if (zstd) com.github.luben.zstd.Zstd.decompress(java.util.Arrays.copyOfRange(bytes, 6, bytes.length), rawLen)
-      else java.util.Arrays.copyOfRange(bytes, 6, bytes.length)
-    require(body(0) == tag, "chunk tag mismatch after decompression")
-    val buf = ByteBuffer.wrap(body); buf.get() // skip tag
-    tag match {
-      case PlainTag => PlainChunk.read(buf)
-      case DictTag  => DictChunk.read(buf)
-      case ForTag   => ForChunk.read(buf)
-      case LecoTag  => LecoChunk.read(buf)
-    }
-  }
-
-  private def writeWords(buf: DataOutputStream, words: Array[Long]): Unit = {
-    buf.writeInt(words.length)
-    var i = 0
-    while (i < words.length) { buf.writeLong(words(i)); i += 1 }
-  }
-
-  private def bytesOf(f: DataOutputStream => Unit): Array[Byte] = {
-    val bos = new java.io.ByteArrayOutputStream()
-    val d   = new DataOutputStream(bos)
-    f(d); d.flush(); bos.toByteArray
-  }
-
-  private[lecoformat] def readWords(buf: ByteBuffer): Array[Long] = {
-    val n = buf.getInt
-    val w = new Array[Long](n)
-    var i = 0
-    while (i < n) { w(i) = buf.getLong; i += 1 }
-    w
-  }
-
-  /** Dictionary with plain fallback at NDV > 50% of rows. */
-  def encodeDefault(values: Array[Long]): Array[Byte] = {
-    val distinct = values.distinct
-    if (distinct.length > values.length / 2) encodePlain(values)
-    else {
-      val dict  = distinct.sorted
-      val index = new java.util.HashMap[java.lang.Long, Integer]()
-      dict.zipWithIndex.foreach { case (v, i) => index.put(v, i) }
-      val width = math.max(1, BitPack.bitsFor(dict.length - 1L))
-      val codes = new Array[Long](values.length)
-      var i = 0
-      while (i < values.length) { codes(i) = index.get(values(i)).longValue(); i += 1 }
-      val words = BitPack.pack(codes, width)
-      bytesOf { d =>
-        d.writeByte(DictTag)
-        d.writeInt(values.length); d.writeInt(dict.length); d.writeByte(width)
-        dict.foreach(d.writeLong)
-        writeWords(d, words)
+  /** Decodes a chunk, or says what is wrong with it and which `name` it has. */
+  def decode(bytes: Array[Byte], name: String = "chunk"): ColumnChunk =
+    try {
+      val head   = ByteBuffer.wrap(bytes)
+      val enc    = Encoding.of(head.get())
+      val zstd   = head.get()
+      val rawLen = head.getInt
+      val stored = bytes.length - HeaderBytes
+      val body = zstd match {
+        case 0 =>
+          require(rawLen <= stored, s"body truncated: header says $rawLen body bytes, $stored follow")
+          require(rawLen == stored, s"${stored - rawLen} stray bytes follow the $rawLen-byte body")
+          head.slice()
+        case 1 =>
+          require(rawLen >= 0 && rawLen <= Zstd.getFrameContentSize(bytes, HeaderBytes, stored),
+                  s"zstd body does not hold the $rawLen bytes its header says")
+          val raw = new Array[Byte](rawLen)
+          val got = Zstd.decompressByteArray(raw, 0, rawLen, bytes, HeaderBytes, stored)
+          require(got == rawLen, s"zstd body holds $got of its $rawLen bytes")
+          ByteBuffer.wrap(raw)
+        case f => throw new IllegalArgumentException(s"zstd flag $f is neither 0 nor 1")
       }
-    }
-  }
-
-  def encodePlain(values: Array[Long]): Array[Byte] = {
-    val w = plainWidth(values)
-    bytesOf { d =>
-      d.writeByte(PlainTag)
-      d.writeInt(values.length); d.writeByte(w)
-      var i = 0
-      while (i < values.length) {
-        val v = values(i)
-        w match {
-          case 1 => d.writeByte(v.toInt)
-          case 2 => d.writeShort(v.toInt)
-          case 4 => d.writeInt(v.toInt)
-          case 8 => d.writeLong(v)
+      val chunk = enc.read(body)
+      require(!body.hasRemaining, s"${body.remaining} bytes left over after the $enc body")
+      chunk
+    } catch {
+      case e @ (_: IllegalArgumentException | _: BufferUnderflowException | _: ZstdException) =>
+        val what = e match {
+          case _: BufferUnderflowException => "truncated"
+          case _: ZstdException            => s"zstd body does not decompress: ${e.getMessage}"
+          case _                           => e.getMessage
         }
-        i += 1
-      }
+        throw new IllegalStateException(s"corrupt leco $name (${bytes.length} bytes): $what", e)
     }
-  }
-
-  def encodeFor(values: Array[Long], partSize: Int): Array[Byte] = {
-    val c = new ForCodecSer(partSize).encode(values)
-    c
-  }
-
-  def encodeLeco(values: Array[Long], partSize: Int): Array[Byte] = {
-    val size = if (partSize > 0) partSize else 1024
-    val n = values.length
-    bytesOf { d =>
-      d.writeByte(LecoTag)
-      d.writeInt(n); d.writeInt(size)
-      var s = 0
-      while (s < n) {
-        val e = math.min(s + size, n)
-        val p = LecoPartition.encode(values, s, e)
-        d.writeDouble(p.theta0); d.writeDouble(p.theta1); d.writeByte(p.width)
-        d.writeShort(p.corrections.length)
-        p.corrections.foreach(d.writeInt)
-        writeWords(d, p.words)
-        s = e
-      }
-    }
-  }
-
-  /** FOR serializer kept tiny and symmetric with the LeCo one. */
-  private final class ForCodecSer(partSize: Int) {
-    def encode(values: Array[Long]): Array[Byte] = {
-      val size = if (partSize > 0) partSize else 1024
-      val n = values.length
-      bytesOf { d =>
-        d.writeByte(ForTag)
-        d.writeInt(n); d.writeInt(size)
-        var s = 0
-        while (s < n) {
-          val e   = math.min(s + size, n)
-          val (mn, mx) = Regressor.minMax(values, s, e)
-          val width = BitPack.bitsFor(mx - mn)
-          d.writeLong(mn); d.writeByte(width)
-          val w = new Array[Long](BitPack.wordsFor(e - s, width))
-          var j = s
-          while (j < e) { BitPack.write(w, (j - s).toLong * width, width, values(j) - mn); j += 1 }
-          writeWords(d, w)
-          s = e
-        }
-      }
-    }
-  }
 }
-
-/** A decoded-on-demand column chunk. `scan` returns matching positions with
-  * whatever pruning the encoding supports; `gather` random-accesses the
-  * values at given positions (late materialization).
-  */
-sealed trait ColumnChunk {
-  def n: Int
-  def decodeAll(): Array[Long]
-  def get(i: Int): Long
-  def gather(positions: Array[Int]): Array[Long] = {
-    val out = new Array[Long](positions.length)
-    var i = 0
-    while (i < positions.length) { out(i) = get(positions(i)); i += 1 }
-    out
-  }
-  /** Positions matching `pred`; default = decode everything and test. */
-  def scan(pred: ScanPredicate): Array[Int] = {
-    val vals = decodeAll()
-    val out = new scala.collection.mutable.ArrayBuffer[Int]()
-    var i = 0
-    while (i < vals.length) { if (pred.test(vals(i))) out += i; i += 1 }
-    out.toArray
-  }
-}
-
-final class PlainChunk(values: Array[Long]) extends ColumnChunk {
-  def n: Int = values.length
-  def decodeAll(): Array[Long] = values
-  def get(i: Int): Long = values(i)
-}
-object PlainChunk {
-  def read(buf: ByteBuffer): PlainChunk = {
-    val n = buf.getInt; val w = buf.get()
-    val out = new Array[Long](n)
-    var i = 0
-    while (i < n) {
-      out(i) = w match {
-        case 1 => buf.get().toLong
-        case 2 => buf.getShort.toLong
-        case 4 => buf.getInt.toLong
-        case 8 => buf.getLong
-      }
-      i += 1
-    }
-    new PlainChunk(out)
-  }
-}
-
-final class DictChunk(val nRows: Int, dict: Array[Long], width: Int, words: Array[Long]) extends ColumnChunk {
-  def n: Int = nRows
-  def get(i: Int): Long = dict(BitPack.read(words, i, width).toInt)
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](nRows)
-    var i = 0
-    while (i < nRows) { out(i) = get(i); i += 1 }
-    out
-  }
-}
-object DictChunk {
-  def read(buf: ByteBuffer): DictChunk = {
-    val n = buf.getInt; val ds = buf.getInt; val w = buf.get()
-    val dict = new Array[Long](ds)
-    var i = 0
-    while (i < ds) { dict(i) = buf.getLong; i += 1 }
-    new DictChunk(n, dict, w, ChunkCodec.readWords(buf))
-  }
-}
-
-final class ForChunk(val nRows: Int, partSize: Int, mins: Array[Long],
-                     widths: Array[Int], words: Array[Array[Long]]) extends ColumnChunk {
-  def n: Int = nRows
-  def get(i: Int): Long = mins(i / partSize) + BitPack.read(words(i / partSize), i % partSize, widths(i / partSize))
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](nRows)
-    var i = 0
-    while (i < nRows) { out(i) = get(i); i += 1 }
-    out
-  }
-  /** Partition-header skipping: a frame's values lie in [min, min + 2^w). */
-  override def scan(pred: ScanPredicate): Array[Int] = {
-    val out = new scala.collection.mutable.ArrayBuffer[Int]()
-    var p = 0
-    while (p < mins.length) {
-      val s = p * partSize
-      val e = math.min(s + partSize, nRows)
-      val lo = mins(p)
-      val hi = lo + (if (widths(p) >= 63) Long.MaxValue - lo else (1L << widths(p)) - 1)
-      if (pred.mayMatch(lo, hi)) {
-        val w = words(p); val b = widths(p)
-        var j = s
-        while (j < e) { if (pred.test(lo + BitPack.read(w, j - s, b))) out += j; j += 1 }
-      }
-      p += 1
-    }
-    out.toArray
-  }
-}
-object ForChunk {
-  def read(buf: ByteBuffer): ForChunk = {
-    val n = buf.getInt; val size = buf.getInt
-    val nParts = ((n + size - 1) / size).max(1)
-    val mins = new Array[Long](nParts); val widths = new Array[Int](nParts)
-    val words = new Array[Array[Long]](nParts)
-    var p = 0
-    while (p < nParts) {
-      mins(p) = buf.getLong; widths(p) = buf.get() & 0xff
-      words(p) = ChunkCodec.readWords(buf)
-      p += 1
-    }
-    new ForChunk(n, size, mins, widths, words)
-  }
-}
-
-final class LecoChunk(val nRows: Int, partSize: Int, parts: Array[LecoPartition]) extends ColumnChunk {
-  def n: Int = nRows
-  def get(i: Int): Long = parts(i / partSize).get(i % partSize)
-  def decodeAll(): Array[Long] = {
-    val out = new Array[Long](nRows)
-    var off = 0; var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
-    out
-  }
-
-  /** Partition-header skipping plus LeCo's in-partition computation pruning
-    * (§5.1.1): model prediction is a lower bound of the value (deltas are
-    * biased non-negative), so with θ1 > 0 the scanner jumps over position
-    * ranges whose value interval provably misses the predicate window.
-    */
-  override def scan(pred: ScanPredicate): Array[Int] = {
-    val out = new scala.collection.mutable.ArrayBuffer[Int]()
-    var p = 0
-    while (p < parts.length) {
-      val part = parts(p)
-      val s = p * partSize
-      val maxDelta = if (part.width >= 63) Long.MaxValue / 2 else (1L << part.width) - 1
-      val pLo = math.min(part.predict(0), part.predict(part.len - 1))
-      val pHi = math.max(part.predict(0), part.predict(part.len - 1)) + maxDelta
-      if (pred.mayMatch(pLo, pHi)) {
-        val jumpable = part.theta1 > 0
-        var j = 0
-        while (j < part.len) {
-          val lo = part.predict(j)
-          pred match {
-            case t: TimeOfDayPredicate if jumpable && t.nextMatch(lo) > lo + maxDelta =>
-              // no value at or after j can match before the next window:
-              // values at positions j..k-1 all lie in [lo, nextMatch).
-              val target = t.nextMatch(lo) - maxDelta
-              val skip = math.max(1L, ((target - part.theta0) / part.theta1).toLong - j)
-              j += math.min(skip, (part.len - j).toLong).toInt
-            case _ =>
-              // value = lo + delta: reuse the bound instead of a second predict
-              if (pred.test(lo + BitPack.read(part.words, j, part.width))) out += s + j
-              j += 1
-          }
-        }
-      }
-      p += 1
-    }
-    out.toArray
-  }
-}
-object LecoChunk {
-  def read(buf: ByteBuffer): LecoChunk = {
-    val n = buf.getInt; val size = buf.getInt
-    val nParts = ((n + size - 1) / size).max(1)
-    val parts = new Array[LecoPartition](nParts)
-    var p = 0
-    while (p < nParts) {
-      val len = math.min(size, n - p * size)
-      val t0 = buf.getDouble; val t1 = buf.getDouble; val w = buf.get() & 0xff
-      val nc = buf.getShort.toInt
-      val corr = new Array[Int](nc)
-      var c = 0
-      while (c < nc) { corr(c) = buf.getInt; c += 1 }
-      parts(p) = LecoPartition(t0, t1, w, len, ChunkCodec.readWords(buf), corr)
-      p += 1
-    }
-    new LecoChunk(n, size, parts)
-  }
-}
-
-/** One row group on disk: row count, then per column a zone map and the
-  * encoded chunk bytes.
-  */
-final case class RowGroupMeta(nRows: Int, zoneMin: Array[Long], zoneMax: Array[Long],
-                              chunkOffsets: Array[Long], chunkLens: Array[Int])
 
 /** Part-file writer: `LECO1 | nCols | colNames | rowGroups* | footer`.
   * One instance per task/file; feed rows column-wise per row group.
@@ -489,7 +186,7 @@ final class LecoFileReader(file: File) {
       raf.seek(offs(col))
       val bytes = new Array[Byte](lens(col))
       raf.readFully(bytes)
-      ChunkCodec.decode(bytes)
+      ChunkCodec.decode(bytes, s"chunk of column ${columns(col)} in row group $g of $file")
     } finally raf.close()
   }
 }
@@ -527,15 +224,7 @@ object LecoTable {
         val (lo, hi) = r.zone(g, fc)
         if (pred.mayMatch(lo, hi)) {
           val positions = r.readChunk(g, fc).scan(pred)
-          if (positions.nonEmpty) {
-            val chunk = r.readChunk(g, pc)
-            // late materialization: random access below 10% selectivity
-            if (positions.length.toLong * 10 < r.groupRows(g)) out ++= chunk.gather(positions)
-            else {
-              val all = chunk.decodeAll()
-              positions.foreach(p => out += all(p))
-            }
-          }
+          if (positions.nonEmpty) out ++= r.readChunk(g, pc).materialize(positions)
         }
         g += 1
       }
@@ -565,10 +254,7 @@ object LecoTable {
             local += (positions(pi) - fileBase).toInt
             pi += 1
           }
-          val chunk = r.readChunk(g, c)
-          val vals =
-            if (local.length.toLong * 10 < n) chunk.gather(local.toArray)
-            else { val all = chunk.decodeAll(); local.map(all(_)).toArray }
+          val vals = r.readChunk(g, c).materialize(local.toArray)
           System.arraycopy(vals, 0, out, firstPi, vals.length)
         }
         fileBase = groupEnd

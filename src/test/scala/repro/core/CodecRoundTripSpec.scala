@@ -61,7 +61,7 @@ class CodecRoundTripSpec extends AnyFunSuite {
 
       test(s"$label roundtrips $distName") {
         val c = codec.compress(values)
-        assert(c.length == values.length)
+        assert(c.n == values.length)
         assert(c.decompressAll().sameElements(values))
       }
 
@@ -84,6 +84,13 @@ class CodecRoundTripSpec extends AnyFunSuite {
     val values = Array.tabulate(1000)(i => 3L * i)
     (codecs(true) :+ (new PlainCodec(8): IntCodec)).foreach { c =>
       assert(c.compress(values).sizeBytes > 0, c.name)
+    }
+  }
+
+  test("every codec round-trips the empty input") {
+    (codecs(true) :+ (new PlainCodec(8): IntCodec)).foreach { codec =>
+      val c = codec.compress(Array.empty[Long])
+      assert(c.n == 0 && c.decompressAll().isEmpty && c.sizeBytes >= 0, codec.name)
     }
   }
 

@@ -78,13 +78,14 @@ class LecoCodecSpec extends AnyFunSuite {
     assert(vr <= fix, s"var $vr vs fix $fix")
   }
 
-  test("sizeBytes accounts headers + payload + corrections") {
-    val vals = Array.tabulate(512)(i => 2L * i + 1)
-    val c = new LecoFixCodec(256).compress(vals)
-    val expected = c.parts.map(p =>
-      Codec.LinearHeaderBytes + (p.len.toLong * p.width + 7) / 8 + 4L * p.corrections.length).sum
-    assert(c.sizeBytes == expected)
-    assert(c.modelBytes == 2L * Codec.LinearHeaderBytes)
+  test("sizeBytes is the length of the serialized bytes") {
+    val clean = new LecoFixCodec(256).compress(Array.tabulate(512)(i => 2L * i + 1))
+    assert(clean.toBytes.length == clean.sizeBytes)
+    assert(clean.modelBytes == 2L * Codec.LinearHeaderBytes)
+    // corrections add their count and positions to the partition's bytes
+    val slipping = new LecoFixCodec(50_000).compress(Array.tabulate(100_000)(i => (i * math.Pi * 1000).toLong))
+    assert(slipping.parts.exists(_.corrections.nonEmpty))
+    assert(slipping.toBytes.length == slipping.sizeBytes)
   }
 
   test("compression is effective on a nearly linear sequence") {

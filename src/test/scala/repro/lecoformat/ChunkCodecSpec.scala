@@ -1,6 +1,10 @@
 package repro.lecoformat
 
+import scala.util.{Failure, Success, Try}
+import org.scalacheck.Prop
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.ByteLayoutSpec
+import repro.core.baseline.DictCodec
 
 class ChunkCodecSpec extends AnyFunSuite {
 
@@ -29,16 +33,16 @@ class ChunkCodecSpec extends AnyFunSuite {
   test("Default picks dictionary for low-cardinality, plain for unique") {
     val low = ChunkCodec.encode(Array.fill(1000)(3L), Encoding.Default, 512, zstd = false)
     val uni = ChunkCodec.encode(Array.tabulate(1000)(_ * 7919L), Encoding.Default, 512, zstd = false)
-    assert(low(0) == ChunkCodec.DictTag)
-    assert(uni(0) == ChunkCodec.PlainTag)
+    assert(ChunkCodec.decode(low).isInstanceOf[DictCodec.DictCompressed])
+    assert(ChunkCodec.decode(uni).isInstanceOf[DictCodec.PlainCompressed])
     assert(low.length < uni.length)
   }
 
   test("plain width auto-selection shrinks small-valued chunks") {
     val small = ChunkCodec.encode(Array.fill(1000)(5L), Encoding.Default, 512, zstd = false)
     // dictionary wins here; force plain via unique small values
-    val smallPlain = ChunkCodec.encodePlain(Array.tabulate(1000)(_.toLong))
-    val bigPlain   = ChunkCodec.encodePlain(Array.tabulate(1000)(i => (1L << 40) + i))
+    val smallPlain = DictCodec.plain(Array.tabulate(1000)(_.toLong)).toBytes
+    val bigPlain   = DictCodec.plain(Array.tabulate(1000)(i => (1L << 40) + i)).toBytes
     assert(smallPlain.length < bigPlain.length)
     assert(small.length > 0)
   }
@@ -96,5 +100,59 @@ class ChunkCodecSpec extends AnyFunSuite {
     val chunk = ChunkCodec.decode(ChunkCodec.encode(values, Encoding.LecoFix, 1024, zstd = false))
     val brute = values.zipWithIndex.collect { case (v, i) if pred.test(v) => i }
     assert(chunk.scan(pred).sameElements(brute))
+  }
+
+  for (enc <- Seq(Encoding.Default, Encoding.For, Encoding.LecoFix); zstd <- Seq(false, true))
+    test(s"$enc(zstd=$zstd) chunk decodes to the codec's in-memory form, sized by sizeBytes") {
+      import ByteLayoutSpec._
+      check(Prop.forAll(values) { vals =>
+        Try(enc.compress(vals, PartSize)) match {
+          case Failure(_: IllegalArgumentException) => true
+          case Failure(e) => throw e
+          case Success(c) =>
+            val bytes  = ChunkCodec.encode(vals, enc, PartSize, zstd)
+            val rawLen = java.nio.ByteBuffer.wrap(bytes).getInt(2)
+            rawLen == c.sizeBytes && (zstd || bytes.length == ChunkCodec.HeaderBytes + rawLen) &&
+              sameAs(ChunkCodec.decode(bytes), c)
+        }
+      })
+    }
+
+  private val sample = ChunkCodec.encode(Array.tabulate(3000)(i => 7L * i + i % 5), Encoding.LecoFix, 256, zstd = false)
+
+  /** `bytes` with the header's body length set to the bytes that follow. */
+  private def withRawLen(bytes: Array[Byte]): Array[Byte] = {
+    java.nio.ByteBuffer.wrap(bytes).putInt(2, bytes.length - ChunkCodec.HeaderBytes)
+    bytes
+  }
+
+  private def corruption(bytes: Array[Byte]): String = {
+    val e = intercept[IllegalStateException](ChunkCodec.decode(bytes, "chunk ts/7"))
+    assert(e.getMessage.contains("chunk ts/7"), e.getMessage)
+    e.getMessage
+  }
+
+  test("corrupt chunk: an unknown encoding tag is named") {
+    val b = sample.clone(); b(0) = 9
+    assert(corruption(b).contains("unknown encoding tag 9"))
+  }
+
+  test("corrupt chunk: a zstd flag other than 0 or 1 is rejected") {
+    val b = sample.clone(); b(1) = 7
+    assert(corruption(b).contains("zstd flag 7"))
+  }
+
+  test("corrupt chunk: a truncated body is rejected") {
+    val cut = java.util.Arrays.copyOf(sample, sample.length - 10)
+    assert(corruption(cut).contains(s"header says ${sample.length - ChunkCodec.HeaderBytes} body bytes"))
+    assert(corruption(withRawLen(cut)).endsWith("truncated"))
+    val z = ChunkCodec.encode(Array.tabulate(3000)(i => 7L * i), Encoding.For, 256, zstd = true)
+    assert(corruption(java.util.Arrays.copyOf(z, z.length - 4)).contains("zstd"))
+  }
+
+  test("corrupt chunk: bytes left over after the codec's reader are rejected") {
+    val long = java.util.Arrays.copyOf(sample, sample.length + 16)
+    assert(corruption(long).contains("16 stray bytes"))
+    assert(corruption(withRawLen(long)).contains("16 bytes left over after the LecoFix body"))
   }
 }
