@@ -58,7 +58,7 @@ object Oracle {
       val dRows = Iterator
         .continually(rs)
         .takeWhile(_.next())
-        .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
+        .map(r => Row((1 to dCols.size).map(r.getObject): _*))
         .toSeq
       val sCols = sparkDf.columns.toSeq
       require(

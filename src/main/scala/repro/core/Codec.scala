@@ -34,11 +34,13 @@ trait CompressedInts {
     out
   }
 
-  /** The values at `positions`: `gather` below 10% selectivity, otherwise
-    * one sequential decode, whichever is cheaper.
+  /** The values at ascending, distinct `positions`: `gather` below 10%
+    * selectivity, otherwise one sequential decode, whichever is cheaper.
+    * Selecting every position returns the decode itself, uncopied.
     */
   def materialize(positions: Array[Int]): Array[Long] =
-    if (positions.length.toLong * 10 < n) gather(positions)
+    if (positions.length == n) decompressAll()
+    else if (positions.length.toLong * 10 < n) gather(positions)
     else {
       val all = decompressAll()
       val out = new Array[Long](positions.length)

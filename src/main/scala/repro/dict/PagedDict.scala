@@ -1,7 +1,8 @@
 package repro.dict
 
 import java.io.{File, FileOutputStream}
-import repro.core.{BitPack, Regressor, LecoPartition}
+import repro.core.LecoPartition
+import repro.core.baseline.ForPartition
 
 /** An order-preserving dictionary (code = rank in the sorted unique domain)
   * whose code→value array lives in a file accessed through a [[BufferPool]]
@@ -48,21 +49,16 @@ object PagedDict {
     val out = new java.io.DataOutputStream(new java.io.BufferedOutputStream(new FileOutputStream(f)))
     val n = domain.length
     val headerOffs = new scala.collection.mutable.ArrayBuffer[Long]()
-    val mins = new scala.collection.mutable.ArrayBuffer[Long]()
     val widths = new scala.collection.mutable.ArrayBuffer[Int]()
     var off = 0L
     var s = 0
     while (s < n) {
       val e = math.min(s + partSize, n)
-      val (mn, mx) = Regressor.minMax(domain, s, e)
-      val width = BitPack.bitsFor(mx - mn)
+      val p = ForPartition.encode(domain, s, e)
       headerOffs += off
-      mins += mn; widths += width
-      out.writeLong(mn); out.writeByte(width); off += 9
-      val words = new Array[Long](BitPack.wordsFor(e - s, width))
-      var j = s
-      while (j < e) { BitPack.write(words, (j - s).toLong * width, width, domain(j) - mn); j += 1 }
-      words.foreach(out.writeLong); off += words.length * 8L
+      widths += p.width
+      out.writeLong(p.min); out.writeByte(p.width); off += 9
+      p.words.foreach(out.writeLong); off += p.words.length * 8L
       s = e
     }
     out.close()

@@ -43,12 +43,12 @@ object MicroBench {
   def measure(ds: IntDataset, scheme: String, accessCount: Int = 200_000): Option[Measurement] =
     codecFor(scheme, ds).map { codec =>
       val raw = ds.values.length.toLong * ds.rawBytesPerValue
-      var compressed: CompressedInts = null
-      val compNs = nanosOf { compressed = codec.compress(ds.values) }
+      val compressed = codec.compress(ds.values)
       // warm + verify correctness of the roundtrip while we are here
       val decoded = compressed.decompressAll()
       require(java.util.Arrays.equals(decoded, ds.values),
               s"$scheme roundtrip mismatch on ${ds.name}")
+      val compNs = Seq.fill(3)(nanosOf { sink += codec.compress(ds.values).n }).sorted.apply(1)
       val decompNs = nanosOf { sink += compressed.decompressAll()(ds.values.length - 1) }
       // rANS/Delta random access is slow; cap the probe count for them
       val probes =

@@ -6,6 +6,7 @@ import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapabil
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.SpecificInternalRow
 import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
@@ -62,17 +63,27 @@ final class LecoScanBuilder(path: String, schema: StructType)
 }
 
 object LecoScanBuilder {
-  def supported(f: Filter): Boolean = f match {
-    case EqualTo(_, v: Number)              => v != null
-    case GreaterThan(_, _: Number)          => true
-    case GreaterThanOrEqual(_, _: Number)   => true
-    case LessThan(_, _: Number)             => true
-    case LessThanOrEqual(_, _: Number)      => true
-    case And(l, r)                          => supported(l) && supported(r)
-    case _                                  => false
+  /** An integral literal. A fractional one is never pushed: truncating it
+    * would turn `ts < 5.5` into `ts <= 4` and drop the `ts = 5` rows.
+    */
+  private object Integral {
+    def unapply(v: Any): Option[Long] = v match {
+      case x @ (_: java.lang.Byte | _: java.lang.Short | _: java.lang.Integer | _: java.lang.Long) =>
+        Some(x.asInstanceOf[Number].longValue)
+      case _ => None
+    }
   }
 
-  /** Collapse supported filters into per-column [lo, hi] ranges. */
+  def supported(f: Filter): Boolean = f match {
+    case EqualTo(_, Integral(_)) | GreaterThan(_, Integral(_)) | GreaterThanOrEqual(_, Integral(_)) |
+         LessThan(_, Integral(_)) | LessThanOrEqual(_, Integral(_)) => true
+    case And(l, r) => supported(l) && supported(r)
+    case _         => false
+  }
+
+  /** Collapse supported filters into per-column [lo, hi] ranges; an empty
+    * range has lo > hi.
+    */
   def toRanges(filters: Array[Filter]): Map[String, (Long, Long)] = {
     val m = scala.collection.mutable.Map[String, (Long, Long)]()
     def merge(col: String, lo: Long, hi: Long): Unit = {
@@ -80,13 +91,15 @@ object LecoScanBuilder {
       m(col) = (math.max(l0, lo), math.min(h0, hi))
     }
     def walk(f: Filter): Unit = f match {
-      case EqualTo(c, v: Number)            => merge(c, v.longValue, v.longValue)
-      case GreaterThan(c, v: Number)        => merge(c, v.longValue + 1, Long.MaxValue)
-      case GreaterThanOrEqual(c, v: Number) => merge(c, v.longValue, Long.MaxValue)
-      case LessThan(c, v: Number)           => merge(c, Long.MinValue, v.longValue - 1)
-      case LessThanOrEqual(c, v: Number)    => merge(c, Long.MinValue, v.longValue)
-      case And(l, r)                        => walk(l); walk(r)
-      case _                                =>
+      case EqualTo(c, Integral(v))            => merge(c, v, v)
+      case GreaterThan(c, Integral(v))        =>
+        if (v == Long.MaxValue) merge(c, v, Long.MinValue) else merge(c, v + 1, Long.MaxValue)
+      case GreaterThanOrEqual(c, Integral(v)) => merge(c, v, Long.MaxValue)
+      case LessThan(c, Integral(v))           =>
+        if (v == Long.MinValue) merge(c, Long.MaxValue, v) else merge(c, Long.MinValue, v - 1)
+      case LessThanOrEqual(c, Integral(v))    => merge(c, Long.MinValue, v)
+      case And(l, r)                          => walk(l); walk(r)
+      case _                                  =>
     }
     filters.foreach(walk)
     m.toMap
@@ -111,75 +124,45 @@ final class LecoReaderFactory(cols: Array[String], ranges: Map[String, (Long, Lo
     new LecoPartitionReader(partition.asInstanceOf[LecoInputPartition].filePath, cols, ranges)
 }
 
-/** Reads one part file row-group by row-group, applying zone-map and
-  * encoding-level skipping with the pushed ranges, then emits rows of the
-  * required columns.
+/** Reads one part file row group by row group: `LecoFileReader.select`
+  * picks the rows within the pushed ranges, and each required column is
+  * decoded whole or materialized at them. The columns stay as decoded;
+  * `get` copies one row into a reused mutable row, which Spark's unsafe
+  * projection above the scan copies before the next `get`.
   */
 final class LecoPartitionReader(filePath: String, cols: Array[String],
                                 ranges: Map[String, (Long, Long)])
     extends PartitionReader[InternalRow] {
   private val reader = new LecoFileReader(new java.io.File(filePath))
+  private val colIdx = cols.map(reader.colIndex)
+  private val preds: Seq[(Int, ScanPredicate)] = ranges.toSeq.collect {
+    case (c, (lo, hi)) if reader.columns.contains(c) => reader.colIndex(c) -> RangePredicate(lo, hi)
+  }
+  private val row = new SpecificInternalRow(cols.toSeq.map(_ => LongType))
   private var group = 0
-  private var rows: Array[Array[Long]] = _ // row-major buffer of current group
-  private var rowIdx = 0
+  private var values: Array[Array[Long]] = _ // current group, one array per required column
   private var nRows = 0
-
-  private def loadNextGroup(): Boolean = {
-    while (group < reader.numGroups) {
-      val g = group
-      group += 1
-      // zone-map skip on every filtered column present in the file
-      val zoneOk = ranges.forall { case (col, (lo, hi)) =>
-        val ci = reader.columns.indexOf(col)
-        ci < 0 || { val (zlo, zhi) = reader.zone(g, ci); zhi >= lo && zlo <= hi }
-      }
-      if (zoneOk) {
-        // positions surviving all pushed per-column ranges
-        var positions: Array[Int] = null
-        for ((col, (lo, hi)) <- ranges) {
-          val ci = reader.columns.indexOf(col)
-          if (ci >= 0) {
-            val matched = reader.readChunk(g, ci).scan(RangePredicate(lo, hi))
-            positions = if (positions == null) matched else intersectSorted(positions, matched)
-          }
-        }
-        val total = reader.groupRows(g)
-        val sel: Array[Int] = if (positions == null) Array.tabulate(total)(identity) else positions
-        if (sel.nonEmpty) {
-          val colVals = cols.map { c =>
-            val chunk = reader.readChunk(g, reader.colIndex(c))
-            if (sel.length == total) chunk.decodeAll() else chunk.gather(sel)
-          }
-          nRows = sel.length
-          rows = Array.tabulate(nRows)(i => colVals.map(_(i)))
-          rowIdx = 0
-          return true
-        }
-      }
-    }
-    false
-  }
-
-  private def intersectSorted(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new scala.collection.mutable.ArrayBuffer[Int](math.min(a.length, b.length))
-    var i = 0; var j = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) == b(j)) { out += a(i); i += 1; j += 1 }
-      else if (a(i) < b(j)) i += 1
-      else j += 1
-    }
-    out.toArray
-  }
+  private var rowIdx = -1
 
   override def next(): Boolean = {
-    if (rows != null && rowIdx < nRows) true
-    else loadNextGroup()
+    rowIdx += 1
+    while (rowIdx >= nRows && group < reader.numGroups) {
+      val sel = reader.select(group, preds)
+      nRows = sel.fold(reader.groupRows(group))(_.length)
+      if (nRows > 0) values = colIdx.map { c =>
+        val chunk = reader.readChunk(group, c)
+        sel.fold(chunk.decodeAll())(chunk.materialize)
+      }
+      rowIdx = 0
+      group += 1
+    }
+    rowIdx < nRows
   }
 
   override def get(): InternalRow = {
-    val r = InternalRow.fromSeq(rows(rowIdx).toSeq)
-    rowIdx += 1
-    r
+    var c = 0
+    while (c < values.length) { row.setLong(c, values(c)(rowIdx)); c += 1 }
+    row
   }
 
   override def close(): Unit = ()

@@ -178,6 +178,23 @@ final class LecoFileReader(file: File) {
   def groupRows(g: Int): Int = groups(g)._1
   def zone(g: Int, col: Int): (Long, Long) = (groups(g)._2(col), groups(g)._3(col))
 
+  /** Row-group selection (§5.1.1): the ascending positions in group `g`
+    * whose values match every `(column, predicate)`, or `None` (every row)
+    * when there is no predicate. A group whose zone map rules out a predicate
+    * is skipped unread. Otherwise the first filtered chunk is scanned, with
+    * its encoding's pruning, and each further one is tested only at the
+    * positions still selected.
+    */
+  def select(g: Int, preds: Seq[(Int, ScanPredicate)]): Option[Array[Int]] =
+    if (preds.exists { case (c, p) => val (lo, hi) = zone(g, c); !p.mayMatch(lo, hi) }) Some(Array.emptyIntArray)
+    else preds.foldLeft(Option.empty[Array[Int]]) {
+      case (None, (c, p)) => Some(readChunk(g, c).scan(p))
+      case (Some(sel), (c, p)) if sel.nonEmpty =>
+        val vals = readChunk(g, c).materialize(sel)
+        Some(sel.indices.filter(i => p.test(vals(i))).map(sel).toArray)
+      case (none, _) => none
+    }
+
   def readChunk(g: Int, col: Int): ColumnChunk = {
     val (_, _, _, offs, lens) = groups(g)
     bytesRead += lens(col)
@@ -201,9 +218,9 @@ object LecoTable {
 
   def totalSizeBytes(dir: String): Long = partFiles(dir).map(_.length).sum
 
-  /** Filter-scan with late materialization (§5.1.1): evaluate `pred` on
-    * `filterCol` (row-group zone skip + encoding-level pruning), then gather
-    * `projectCol` at the matching positions. Returns the projected values.
+  /** Filter-scan with late materialization (§5.1.1): select the rows of
+    * each row group where `pred` holds on `filterCol`, then materialize
+    * `projectCol` at them. Returns the projected values.
     */
   def filterScan(dir: String, filterCol: String, pred: ScanPredicate,
                  projectCol: String): Array[Long] =
@@ -217,17 +234,10 @@ object LecoTable {
     val out = new scala.collection.mutable.ArrayBuffer[Long]()
     var ioBytes = 0L
     for (f <- partFiles(dir)) {
-      val r  = new LecoFileReader(f)
-      val fc = r.colIndex(filterCol); val pc = r.colIndex(projectCol)
-      var g = 0
-      while (g < r.numGroups) {
-        val (lo, hi) = r.zone(g, fc)
-        if (pred.mayMatch(lo, hi)) {
-          val positions = r.readChunk(g, fc).scan(pred)
-          if (positions.nonEmpty) out ++= r.readChunk(g, pc).materialize(positions)
-        }
-        g += 1
-      }
+      val r = new LecoFileReader(f)
+      val preds = Seq(r.colIndex(filterCol) -> pred); val pc = r.colIndex(projectCol)
+      for (g <- 0 until r.numGroups; sel <- r.select(g, preds) if sel.nonEmpty)
+        out ++= r.readChunk(g, pc).materialize(sel)
       ioBytes += r.bytesRead
     }
     (out.toArray, ioBytes)
