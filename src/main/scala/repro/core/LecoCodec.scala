@@ -1,6 +1,7 @@
 package repro.core
 
 import java.nio.ByteBuffer
+import scala.annotation.tailrec
 import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
 
 /** One encoded LeCo partition: linear model + fixed-width biased deltas +
@@ -53,10 +54,12 @@ final case class LecoPartition(theta0: Double, theta1: Double, width: Int,
       var j = 0
       while (j < len) {
         val lo = predict(j)
-        if (jumpable && pred.nextMatch(lo) > lo + maxDelta) {
+        val next = if (jumpable) pred.nextMatch(lo) else lo
+        // `next >= lo`; a difference past Long.MaxValue wraps negative and does not jump
+        if (next - lo > maxDelta) {
           // no value at or after j can match before the next match:
           // values at positions j..k-1 all lie in [lo, nextMatch).
-          val target = pred.nextMatch(lo) - maxDelta
+          val target = next - maxDelta
           val skip = math.max(1L, ((target - theta0) / theta1).toLong - j)
           j += math.min(skip, (len - j).toLong).toInt
         } else {
@@ -87,22 +90,39 @@ object LecoPartition {
   private val CorrectionsFlag = 0x80
 
   /** Fit + encode one partition of `values(from until until)`. */
-  def encode(values: Array[Long], from: Int, until: Int): LecoPartition = {
-    val fit   = Regressor.fitLinear(values, from, until)
-    val m     = fit.model
-    val n     = until - from
-    val words = new Array[Long](BitPack.wordsFor(n, fit.bitWidth))
-    val corr  = ArrayBuffer[Int]()
-    var acc   = m.theta0
+  def encode(values: Array[Long], from: Int, until: Int): LecoPartition =
+    encodeFit(Regressor.fitLinear(values, from, until), values, from, until, refits = 3)
+
+  /** Encodes with `fit`, or, when a delta falls outside `[0, 2^width)`, with
+    * `fit` folded again from the deltas it really has. Folding δmin into θ0
+    * (`Regressor.refit`) keeps `floor` exact only in exact arithmetic: a
+    * prediction within an ulp of an integer can land one off once folded,
+    * even on values below 10. A fit still off after `refits` folds is
+    * rejected rather than packed wrong.
+    */
+  @tailrec private def encodeFit(fit: Fit, values: Array[Long], from: Int, until: Int, refits: Int): LecoPartition = {
+    val m        = fit.model
+    val n        = until - from
+    val maxDelta = if (fit.bitWidth >= 63) Long.MaxValue else (1L << fit.bitWidth) - 1
+    val words    = new Array[Long](BitPack.wordsFor(n, fit.bitWidth))
+    val corr     = ArrayBuffer[Int]()
+    var acc      = m.theta0
+    var fits     = true
     var j = 0
-    while (j < n) {
+    while (j < n && fits) {
       val direct = m.predict(j)
       if (math.floor(acc).toLong != direct) { corr += j; acc = m.theta0 + m.theta1 * j }
-      BitPack.write(words, j.toLong * fit.bitWidth, fit.bitWidth, values(from + j) - direct)
+      val delta = values(from + j) - direct
+      fits = delta >= 0 && delta <= maxDelta
+      if (fits) BitPack.write(words, j.toLong * fit.bitWidth, fit.bitWidth, delta)
       acc += m.theta1
       j += 1
     }
-    LecoPartition(m.theta0, m.theta1, fit.bitWidth, n, words, corr.toArray)
+    if (fits) LecoPartition(m.theta0, m.theta1, fit.bitWidth, n, words, corr.toArray)
+    else {
+      require(refits > 0, s"no linear model encodes values($from until $until) exactly")
+      encodeFit(Regressor.refit(m, values, from, until), values, from, until, refits - 1)
+    }
   }
 
   def read(buf: ByteBuffer): LecoPartition = {

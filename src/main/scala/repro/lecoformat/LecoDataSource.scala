@@ -3,21 +3,24 @@ package repro.lecoformat
 import java.util
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
-import org.apache.spark.sql.connector.expressions.Transform
+import org.apache.spark.sql.connector.expressions.{Expression, Expressions, GeneralScalarExpression, Literal, NamedReference, Transform}
+import org.apache.spark.sql.connector.expressions.filter.{And, Predicate}
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.SpecificInternalRow
+import org.apache.spark.sql.sources
 import org.apache.spark.sql.sources._
-import org.apache.spark.sql.types.{LongType, StructField, StructType}
+import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
 /** DataSourceV2 read path for `leco` table directories (short name "leco"):
   * `spark.read.format("leco").load(dir)`.
   *
-  * Supports column pruning and filter pushdown. Pushed range filters are
-  * used for row-group zone-map skipping and encoding-level partition
-  * skipping inside executors; all filters are also returned as residuals so
-  * Spark re-evaluates them (correctness is never delegated to the pruning).
+  * Supports column pruning and V2 predicate pushdown. Pushed ranges and
+  * `col % m` windows are used for row-group zone-map skipping, encoding-level
+  * partition skipping and LeCo's computation pruning inside executors; all
+  * predicates are also returned as residuals so Spark re-evaluates them
+  * (correctness is never delegated to the pruning).
   */
 class LecoDataSource extends TableProvider with DataSourceRegister {
   override def shortName(): String = "leco"
@@ -49,94 +52,168 @@ final class LecoSparkTable(path: String, schema: StructType) extends Table with 
 }
 
 final class LecoScanBuilder(path: String, schema: StructType)
-    extends ScanBuilder with SupportsPushDownFilters with SupportsPushDownRequiredColumns {
+    extends ScanBuilder with SupportsPushDownV2Filters with SupportsPushDownRequiredColumns {
+  import LecoScanBuilder._
   private var required: StructType = schema
-  private var pushed: Array[Filter] = Array.empty
+  private var pushed: Array[Predicate] = Array.empty
+  private var pushedV1: Array[Filter] = Array.empty
 
-  override def pushFilters(filters: Array[Filter]): Array[Filter] = {
-    pushed = filters.filter(LecoScanBuilder.supported)
-    filters // everything is residual: Spark re-applies for exactness
+  override def pushPredicates(predicates: Array[Predicate]): Array[Predicate] = {
+    pushed = predicates.filter(pushable)
+    predicates // everything is residual: Spark re-applies for exactness
   }
-  override def pushedFilters(): Array[Filter] = pushed
+  override def pushedPredicates(): Array[Predicate] = pushed
+
+  /** V1 filters, pushed as the V2 predicates they are. */
+  def pushFilters(filters: Array[Filter]): Array[Filter] = {
+    pushedV1 = filters.filter(f => toV2(f).exists(pushable))
+    pushPredicates(filters.flatMap(toV2))
+    filters
+  }
+  def pushedFilters(): Array[Filter] = pushedV1
+
   override def pruneColumns(requiredSchema: StructType): Unit = required = requiredSchema
-  override def build(): Scan = new LecoScan(path, required, pushed)
+  override def build(): Scan = new LecoScan(path, required, translate(pushed.toSeq))
 }
 
+/** The one translation from Spark's V2 predicates to the reader's
+  * per-column [[ScanPredicate]]s. A comparison (`=`, `<`, `<=`, `>`, `>=`,
+  * either operand order) of a column with an integral literal is a range; of
+  * `col % m`, with `m` a positive integral literal, a remainder window
+  * (Spark translates `%` only in ANSI mode, its default). `AND` splits into
+  * its parts. Bounds on one column merge into one [[RangePredicate]], and
+  * bounds on one `(col, m)` into one [[TimeOfDayPredicate]]: Spark pushes
+  * `ts % 86400 >= t1` and `ts % 86400 < t2` apart, and only the merged
+  * window lets a scan jump.
+  */
 object LecoScanBuilder {
+  private val Integral: Set[DataType] = Set(ByteType, ShortType, IntegerType, LongType)
+
   /** An integral literal. A fractional one is never pushed: truncating it
     * would turn `ts < 5.5` into `ts <= 4` and drop the `ts = 5` rows.
     */
-  private object Integral {
-    def unapply(v: Any): Option[Long] = v match {
-      case x @ (_: java.lang.Byte | _: java.lang.Short | _: java.lang.Integer | _: java.lang.Long) =>
-        Some(x.asInstanceOf[Number].longValue)
+  private object IntLit {
+    def unapply(e: Expression): Option[Long] = e match {
+      case l: Literal[_] if Integral(l.dataType) => Some(l.value.asInstanceOf[Number].longValue)
+      case _                                     => None
+    }
+  }
+
+  /** A column, `(col, None)`, or its remainder modulo a positive literal, `(col, Some(m))`. */
+  private object Term {
+    def unapply(e: Expression): Option[(String, Option[Long])] = e match {
+      case r: NamedReference if r.fieldNames.length == 1 => Some((r.fieldNames()(0), None))
+      case g: GeneralScalarExpression if g.name == "%" => g.children match {
+        case Array(Term(c, None), IntLit(m)) if m > 0 => Some((c, Some(m)))
+        case _                                        => None
+      }
       case _ => None
     }
   }
 
-  def supported(f: Filter): Boolean = f match {
-    case EqualTo(_, Integral(_)) | GreaterThan(_, Integral(_)) | GreaterThanOrEqual(_, Integral(_)) |
-         LessThan(_, Integral(_)) | LessThanOrEqual(_, Integral(_)) => true
-    case And(l, r) => supported(l) && supported(r)
-    case _         => false
+  private val Flipped = Map("=" -> "=", "<" -> ">", "<=" -> ">=", ">" -> "<", ">=" -> "<=")
+  private val Empty = (Long.MaxValue, Long.MinValue)
+
+  /** `term op v` as an interval `[lo, hi]`; empty when `lo > hi`. */
+  private def interval(op: String, v: Long): (Long, Long) = op match {
+    case "="  => (v, v)
+    case ">"  => if (v == Long.MaxValue) Empty else (v + 1, Long.MaxValue)
+    case ">=" => (v, Long.MaxValue)
+    case "<"  => if (v == Long.MinValue) Empty else (Long.MinValue, v - 1)
+    case "<=" => (Long.MinValue, v)
   }
 
-  /** Collapse supported filters into per-column [lo, hi] ranges; an empty
-    * range has lo > hi.
-    */
-  def toRanges(filters: Array[Filter]): Map[String, (Long, Long)] = {
-    val m = scala.collection.mutable.Map[String, (Long, Long)]()
-    def merge(col: String, lo: Long, hi: Long): Unit = {
-      val (l0, h0) = m.getOrElse(col, (Long.MinValue, Long.MaxValue))
-      m(col) = (math.max(l0, lo), math.min(h0, hi))
+  /** The intervals `p` puts on terms, or `None` when some part of it has no translation. */
+  private def bounds(p: Predicate): Option[Seq[((String, Option[Long]), (Long, Long))]] = p match {
+    case a: And => for (l <- bounds(a.left); r <- bounds(a.right)) yield l ++ r
+    case _ if Flipped.contains(p.name) => p.children match {
+      case Array(Term(c, m), IntLit(v)) => Some(Seq((c, m) -> interval(p.name, v)))
+      case Array(IntLit(v), Term(c, m)) => Some(Seq((c, m) -> interval(Flipped(p.name), v)))
+      case _                            => None
     }
-    def walk(f: Filter): Unit = f match {
-      case EqualTo(c, Integral(v))            => merge(c, v, v)
-      case GreaterThan(c, Integral(v))        =>
-        if (v == Long.MaxValue) merge(c, v, Long.MinValue) else merge(c, v + 1, Long.MaxValue)
-      case GreaterThanOrEqual(c, Integral(v)) => merge(c, v, Long.MaxValue)
-      case LessThan(c, Integral(v))           =>
-        if (v == Long.MinValue) merge(c, Long.MaxValue, v) else merge(c, Long.MinValue, v - 1)
-      case LessThanOrEqual(c, Integral(v))    => merge(c, Long.MinValue, v)
-      case And(l, r)                          => walk(l); walk(r)
-      case _                                  =>
-    }
-    filters.foreach(walk)
-    m.toMap
+    case _ => None
   }
+
+  def pushable(p: Predicate): Boolean = bounds(p).isDefined
+
+  /** The scan predicates of the pushable `predicates`, one per term, in
+    * the order the terms first appear. A window is clamped to the
+    * remainder range `[-(m-1), m-1]`.
+    */
+  def translate(predicates: Seq[Predicate]): Seq[(String, ScanPredicate)] = {
+    val merged = scala.collection.mutable.LinkedHashMap[(String, Option[Long]), (Long, Long)]()
+    for (p <- predicates; parts <- bounds(p); (term, (lo, hi)) <- parts) {
+      val (l0, h0) = merged.getOrElse(term, (Long.MinValue, Long.MaxValue))
+      merged(term) = (math.max(l0, lo), math.min(h0, hi))
+    }
+    merged.toSeq.map {
+      case ((c, None), (lo, hi))    => c -> RangePredicate(lo, hi)
+      case ((c, Some(m)), (lo, hi)) => c -> TimeOfDayPredicate(m, math.max(lo, 1 - m), math.min(hi, m - 1) + 1)
+    }
+  }
+
+  /** A V1 comparison or `AND` as the V2 predicate Spark would push. */
+  def toV2(f: Filter): Option[Predicate] = {
+    def cmp(op: String, c: String, v: Any) =
+      Some(new Predicate(op, Array[Expression](Expressions.column(c), Expressions.literal(v))))
+    f match {
+      case EqualTo(c, v)            => cmp("=", c, v)
+      case GreaterThan(c, v)        => cmp(">", c, v)
+      case GreaterThanOrEqual(c, v) => cmp(">=", c, v)
+      case LessThan(c, v)           => cmp("<", c, v)
+      case LessThanOrEqual(c, v)    => cmp("<=", c, v)
+      case sources.And(l, r)        => for (a <- toV2(l); b <- toV2(r)) yield new And(a, b)
+      case _                        => None
+    }
+  }
+
+  /** V1 range filters as per-column `[lo, hi]` ranges; an empty range has lo > hi. */
+  def toRanges(filters: Array[Filter]): Map[String, (Long, Long)] =
+    translate(filters.toSeq.flatMap(toV2)).collect { case (c, RangePredicate(lo, hi)) => c -> (lo, hi) }.toMap
 }
 
 final case class LecoInputPartition(filePath: String) extends InputPartition
 
-final class LecoScan(path: String, required: StructType, pushed: Array[Filter])
+final class LecoScan(path: String, required: StructType, preds: Seq[(String, ScanPredicate)])
     extends Scan with Batch {
   override def readSchema(): StructType = required
   override def toBatch: Batch = this
   override def planInputPartitions(): Array[InputPartition] =
     LecoTable.partFiles(path).map(f => LecoInputPartition(f.getAbsolutePath): InputPartition)
-  override def createReaderFactory(): PartitionReaderFactory =
-    new LecoReaderFactory(required.fieldNames, LecoScanBuilder.toRanges(pushed))
+  override def createReaderFactory(): PartitionReaderFactory = new LecoReaderFactory(required.fieldNames, preds)
+
+  /** The scan predicates that reach the reader, as `EXPLAIN` shows them:
+    * `leco [ts: 10 <= ts % 1000 < 21]`.
+    */
+  override def description(): String = preds.map {
+    case (c, RangePredicate(a, b)) if a == b    => s"$c: $c = $a"
+    case (c, RangePredicate(a, Long.MaxValue))  => s"$c: $c >= $a"
+    case (c, RangePredicate(Long.MinValue, b))  => s"$c: $c <= $b"
+    case (c, RangePredicate(a, b))              => s"$c: $a <= $c <= $b"
+    case (c, TimeOfDayPredicate(m, t1, t2))     => s"$c: $t1 <= $c % $m < $t2"
+    case (c, p)                                 => s"$c: $p"
+  }.mkString("leco [", ", ", "]")
 }
 
-final class LecoReaderFactory(cols: Array[String], ranges: Map[String, (Long, Long)])
+final class LecoReaderFactory(cols: Array[String], preds: Seq[(String, ScanPredicate)])
     extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] =
-    new LecoPartitionReader(partition.asInstanceOf[LecoInputPartition].filePath, cols, ranges)
+    new LecoPartitionReader(partition.asInstanceOf[LecoInputPartition].filePath, cols, preds)
 }
 
 /** Reads one part file row group by row group: `LecoFileReader.select`
-  * picks the rows within the pushed ranges, and each required column is
+  * picks the rows within the scan predicates, and each required column is
   * decoded whole or materialized at them. The columns stay as decoded;
   * `get` copies one row into a reused mutable row, which Spark's unsafe
   * projection above the scan copies before the next `get`.
   */
 final class LecoPartitionReader(filePath: String, cols: Array[String],
-                                ranges: Map[String, (Long, Long)])
+                                scanPreds: Seq[(String, ScanPredicate)])
     extends PartitionReader[InternalRow] {
   private val reader = new LecoFileReader(new java.io.File(filePath))
   private val colIdx = cols.map(reader.colIndex)
-  private val preds: Seq[(Int, ScanPredicate)] = ranges.toSeq.collect {
-    case (c, (lo, hi)) if reader.columns.contains(c) => reader.colIndex(c) -> RangePredicate(lo, hi)
+  private val preds: Seq[(Int, ScanPredicate)] = scanPreds.collect {
+    case (c, p) if reader.columns.contains(c) => reader.colIndex(c) -> p
   }
   private val row = new SpecificInternalRow(cols.toSeq.map(_ => LongType))
   private var group = 0

@@ -28,19 +28,39 @@ final case class RangePredicate(a: Long, b: Long) extends ScanPredicate {
 }
 
 /** `t1 <= v % mod < t2` — the paper's per-day time-window filter (§5.1.1).
-  * `nextMatch(a)` gives the smallest `x >= a` satisfying the predicate,
-  * which is what enables LeCo's in-partition computation pruning.
+  * `%` is the JVM's (and Spark's): the remainder takes the sign of `v`.
+  * `nextMatch(a)` gives the smallest `x >= a` satisfying the predicate, or
+  * `Long.MaxValue` when none is below it, which is what enables LeCo's
+  * in-partition computation pruning.
   */
 final case class TimeOfDayPredicate(mod: Long, t1: Long, t2: Long) extends ScanPredicate {
+  require(mod > 0, s"modulus $mod is not positive")
+  // the window's remainders as `v >= 0` and as `v <= 0` take them: [lo, hi)
+  private val posLo = math.max(t1, 0L);        private val posHi = math.min(t2, mod)
+  private val negLo = math.max(t1, 1L - mod);  private val negHi = math.min(t2, 1L)
+
   def test(v: Long): Boolean = { val r = v % mod; r >= t1 && r < t2 }
+
+  // Every step stays within (-mod, mod] of a remainder, so nothing overflows
+  // but the final `a + d`, which saturates.
   override def nextMatch(a: Long): Long = {
     val r = a % mod
-    if (r < t1) a + (t1 - r)
-    else if (r < t2) a
-    else a + (mod - r) + t1
+    if (a >= 0) {
+      if (posLo >= posHi) Long.MaxValue
+      else {
+        val d = if (r < posLo) posLo - r else if (r < posHi) 0L else mod - (r - posLo)
+        if (d > Long.MaxValue - a) Long.MaxValue else a + d
+      }
+    } else if (negLo < negHi && r < negHi) {
+      if (r < negLo) a + (negLo - r) else a
+    } else {
+      // nothing matches in [a, a - r], the multiple of `mod` at or above `a`
+      val block = a - r
+      if (block < 0 && negLo < negHi) block + mod + negLo else nextMatch(0L)
+    }
   }
-  def mayMatch(lo: Long, hi: Long): Boolean =
-    if (hi - lo >= mod) true else nextMatch(lo) <= hi
+
+  def mayMatch(lo: Long, hi: Long): Boolean = nextMatch(lo) <= hi
 }
 
 /** A column chunk is `[tag:u8][zstd:u8][rawLen:i32]` + the encoding's codec
@@ -191,7 +211,13 @@ final class LecoFileReader(file: File) {
       case (None, (c, p)) => Some(readChunk(g, c).scan(p))
       case (Some(sel), (c, p)) if sel.nonEmpty =>
         val vals = readChunk(g, c).materialize(sel)
-        Some(sel.indices.filter(i => p.test(vals(i))).map(sel).toArray)
+        var kept = 0
+        var i = 0
+        while (i < sel.length) {
+          if (p.test(vals(i))) { sel(kept) = sel(i); kept += 1 }
+          i += 1
+        }
+        Some(if (kept == sel.length) sel else java.util.Arrays.copyOf(sel, kept))
       case (none, _) => none
     }
 

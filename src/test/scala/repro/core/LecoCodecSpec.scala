@@ -14,6 +14,16 @@ class LecoCodecSpec extends AnyFunSuite {
     }
   }
 
+  test("a prediction the folded bias moves by one still gets a delta that fits") {
+    // θ0 + θ1·5 is 2.0 before folding δmin = -1 into θ0 and 0.99999… after
+    val vals = Array[Long](2, 3, 2, 7, 0, 8, 4, 4, 3, 5, 6)
+    val p = LecoPartition.encode(vals, 0, vals.length)
+    val out = new Array[Long](vals.length)
+    p.decodeInto(out, 0)
+    assert(out.sameElements(vals))
+    assert(vals.indices.forall(j => p.get(j) == vals(j)))
+  }
+
   test("accumulation decode equals direct decode (correction list works)") {
     // long partitions + irrational-ish slope provoke floating point slips
     val vals = Array.tabulate(100_000)(i => (i * math.Pi * 1000).toLong)

@@ -1,5 +1,6 @@
 package repro.lecoformat
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 
 /** DataSourceV2 path: Spark SQL over `leco` tables, with DuckDB as the
@@ -62,11 +63,50 @@ class LecoSqlSpec extends SparkSpec {
       "src" -> srcDf)
   }
 
-  test("unsupported predicate shapes (modulo) still return correct results") {
+  /** The scan predicates the executed plan says reached the reader. */
+  private def scanOf(df: DataFrame): String = {
+    val plan = df.queryExecution.executedPlan.toString
+    "leco \\[[^\\]]*\\]".r.findFirstIn(plan).getOrElse(fail(s"no leco scan in $plan"))
+  }
+
+  test("a modulo window (BETWEEN) is pushed as one merged window and equals oracle") {
     leco.createOrReplaceTempView("leco_t")
     val out = spark.sql("SELECT id FROM leco_t WHERE ts % 1000 BETWEEN 10 AND 20")
     Oracle.assertEquivalent(out,
       "SELECT id FROM src WHERE CAST(ts AS BIGINT) % 1000 BETWEEN 10 AND 20", "src" -> srcDf)
+    assert(scanOf(out) == "leco [ts: 10 <= ts % 1000 < 21]")
+  }
+
+  test("a one-sided modulo window is pushed, with the literal on either side, and equals oracle") {
+    leco.createOrReplaceTempView("leco_t")
+    for (where <- Seq("ts % 1000 >= 10", "10 <= ts % 1000")) {
+      val out = spark.sql(s"SELECT id FROM leco_t WHERE $where")
+      Oracle.assertEquivalent(out,
+        s"SELECT id FROM src WHERE ${where.replace("ts", "CAST(ts AS BIGINT)")}", "src" -> srcDf)
+      assert(scanOf(out) == "leco [ts: 10 <= ts % 1000 < 1000]", where)
+    }
+  }
+
+  test("a modulo window and a range on one column are both pushed and equal oracle") {
+    leco.createOrReplaceTempView("leco_t")
+    val out = spark.sql("SELECT id FROM leco_t WHERE ts % 1000 BETWEEN 10 AND 20 AND ts > 5000")
+    Oracle.assertEquivalent(out,
+      "SELECT id FROM src WHERE CAST(ts AS BIGINT) % 1000 BETWEEN 10 AND 20 AND CAST(ts AS BIGINT) > 5000",
+      "src" -> srcDf)
+    val scan = scanOf(out)
+    assert(scan.contains("ts: 10 <= ts % 1000 < 21") && scan.contains("ts: ts >= 5001"), scan)
+  }
+
+  test("unsupported predicate shapes (modulo) still return correct results") {
+    leco.createOrReplaceTempView("leco_t")
+    // A negative modulus and a non-literal modulus are not pushed to the reader.
+    for ((where, oracleWhere) <- Seq(
+           "ts % -1000 < 20" -> "CAST(ts AS BIGINT) % -1000 < 20",
+           "ts % (grp + 1) < 3" -> "CAST(ts AS BIGINT) % (CAST(grp AS BIGINT) + 1) < 3")) {
+      val out = spark.sql(s"SELECT id FROM leco_t WHERE $where")
+      Oracle.assertEquivalent(out, s"SELECT id FROM src WHERE $oracleWhere", "src" -> srcDf)
+      assert(scanOf(out) == "leco []", where)
+    }
   }
 
   test("column pruning: selecting one column works") {
