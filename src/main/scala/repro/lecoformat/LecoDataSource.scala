@@ -7,11 +7,12 @@ import org.apache.spark.sql.connector.expressions.{Expression, Expressions, Gene
 import org.apache.spark.sql.connector.expressions.filter.{And, Predicate}
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.SpecificInternalRow
 import org.apache.spark.sql.sources
 import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
+import org.apache.spark.sql.vectorized.{ColumnVector, ColumnarArray, ColumnarBatch, ColumnarMap}
+import org.apache.spark.unsafe.types.UTF8String
 
 /** DataSourceV2 read path for `leco` table directories (short name "leco"):
   * `spark.read.format("leco").load(dir)`.
@@ -20,7 +21,8 @@ import org.apache.spark.sql.util.CaseInsensitiveStringMap
   * `col % m` windows are used for row-group zone-map skipping, encoding-level
   * partition skipping and LeCo's computation pruning inside executors; all
   * predicates are also returned as residuals so Spark re-evaluates them
-  * (correctness is never delegated to the pruning).
+  * (correctness is never delegated to the pruning). Spark reads each row
+  * group as one columnar batch over the decoded arrays.
   */
 class LecoDataSource extends TableProvider with DataSourceRegister {
   override def shortName(): String = "leco"
@@ -197,50 +199,88 @@ final class LecoScan(path: String, required: StructType, preds: Seq[(String, Sca
 
 final class LecoReaderFactory(cols: Array[String], preds: Seq[(String, ScanPredicate)])
     extends PartitionReaderFactory {
+  private def pathOf(partition: InputPartition) = partition.asInstanceOf[LecoInputPartition].filePath
+  override def supportColumnarReads(partition: InputPartition): Boolean = true
+  override def createColumnarReader(partition: InputPartition): PartitionReader[ColumnarBatch] =
+    new LecoBatchReader(pathOf(partition), cols, preds)
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] =
-    new LecoPartitionReader(partition.asInstanceOf[LecoInputPartition].filePath, cols, preds)
+    new LecoPartitionReader(pathOf(partition), cols, preds)
 }
 
-/** Reads one part file row group by row group: `LecoFileReader.select`
-  * picks the rows within the scan predicates, and each required column is
-  * decoded whole or materialized at them. The columns stay as decoded;
-  * `get` copies one row into a reused mutable row, which Spark's unsafe
-  * projection above the scan copies before the next `get`.
+/** Reads one part file as one batch per row group with a selected row:
+  * `LecoFileReader.select` picks the rows within the scan predicates, and
+  * each required column is decoded whole or materialized at them. The
+  * batch's vectors are the decoded arrays themselves.
   */
-final class LecoPartitionReader(filePath: String, cols: Array[String],
-                                scanPreds: Seq[(String, ScanPredicate)])
-    extends PartitionReader[InternalRow] {
+final class LecoBatchReader(filePath: String, cols: Array[String],
+                            scanPreds: Seq[(String, ScanPredicate)])
+    extends PartitionReader[ColumnarBatch] {
   private val reader = new LecoFileReader(new java.io.File(filePath))
   private val colIdx = cols.map(reader.colIndex)
   private val preds: Seq[(Int, ScanPredicate)] = scanPreds.collect {
     case (c, p) if reader.columns.contains(c) => reader.colIndex(c) -> p
   }
-  private val row = new SpecificInternalRow(cols.toSeq.map(_ => LongType))
   private var group = 0
-  private var values: Array[Array[Long]] = _ // current group, one array per required column
-  private var nRows = 0
-  private var rowIdx = -1
+  private var batch: ColumnarBatch = _
 
   override def next(): Boolean = {
-    rowIdx += 1
-    while (rowIdx >= nRows && group < reader.numGroups) {
+    batch = null
+    while (batch == null && group < reader.numGroups) {
       val sel = reader.select(group, preds)
-      nRows = sel.fold(reader.groupRows(group))(_.length)
-      if (nRows > 0) values = colIdx.map { c =>
+      val n = sel.fold(reader.groupRows(group))(_.length)
+      if (n > 0) batch = new ColumnarBatch(colIdx.map { c =>
         val chunk = reader.readChunk(group, c)
-        sel.fold(chunk.decodeAll())(chunk.materialize)
-      }
-      rowIdx = 0
+        new LongArrayVector(sel.fold(chunk.decodeAll())(chunk.materialize))
+      }, n)
       group += 1
     }
-    rowIdx < nRows
+    batch != null
   }
 
-  override def get(): InternalRow = {
-    var c = 0
-    while (c < values.length) { row.setLong(c, values(c)(rowIdx)); c += 1 }
-    row
-  }
-
+  override def get(): ColumnarBatch = batch
   override def close(): Unit = ()
+}
+
+/** A non-null `LongType` column over `values`, in place; every getter but
+  * `getLong` throws.
+  */
+final class LongArrayVector(values: Array[Long]) extends ColumnVector(LongType) {
+  override def getLong(rowId: Int): Long = values(rowId)
+  override def hasNull: Boolean = false
+  override def numNulls: Int = 0
+  override def isNullAt(rowId: Int): Boolean = false
+  override def close(): Unit = ()
+
+  private def unsupported = throw new UnsupportedOperationException("a leco column holds only longs")
+  override def getBoolean(rowId: Int): Boolean = unsupported
+  override def getByte(rowId: Int): Byte = unsupported
+  override def getShort(rowId: Int): Short = unsupported
+  override def getInt(rowId: Int): Int = unsupported
+  override def getFloat(rowId: Int): Float = unsupported
+  override def getDouble(rowId: Int): Double = unsupported
+  override def getArray(rowId: Int): ColumnarArray = unsupported
+  override def getMap(ordinal: Int): ColumnarMap = unsupported
+  override def getDecimal(rowId: Int, precision: Int, scale: Int): Decimal = unsupported
+  override def getUTF8String(rowId: Int): UTF8String = unsupported
+  override def getBinary(rowId: Int): Array[Byte] = unsupported
+  override def getChild(ordinal: Int): ColumnVector = unsupported
+}
+
+/** The rows of [[LecoBatchReader]]'s batches, one at a time, for callers
+  * that read rows.
+  */
+final class LecoPartitionReader(filePath: String, cols: Array[String],
+                                scanPreds: Seq[(String, ScanPredicate)])
+    extends PartitionReader[InternalRow] {
+  private val batches = new LecoBatchReader(filePath, cols, scanPreds)
+  private var rows: java.util.Iterator[InternalRow] = java.util.Collections.emptyIterator()
+  private var row: InternalRow = _
+
+  override def next(): Boolean = {
+    while (!rows.hasNext && batches.next()) rows = batches.get().rowIterator()
+    rows.hasNext && { row = rows.next(); true }
+  }
+
+  override def get(): InternalRow = row
+  override def close(): Unit = batches.close()
 }

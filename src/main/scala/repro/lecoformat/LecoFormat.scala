@@ -25,6 +25,8 @@ object Encoding {
 final case class RangePredicate(a: Long, b: Long) extends ScanPredicate {
   def test(v: Long): Boolean = v >= a && v <= b
   def mayMatch(lo: Long, hi: Long): Boolean = hi >= a && lo <= b
+  /** `a` below the range, `x` inside it, and `Long.MaxValue` past it (or when it is empty). */
+  override def nextMatch(x: Long): Long = if (x > b || a > b) Long.MaxValue else math.max(x, a)
 }
 
 /** `t1 <= v % mod < t2` — the paper's per-day time-window filter (§5.1.1).
@@ -257,16 +259,16 @@ object LecoTable {
     */
   def filterScanCounted(dir: String, filterCol: String, pred: ScanPredicate,
                  projectCol: String): (Array[Long], Long) = {
-    val out = new scala.collection.mutable.ArrayBuffer[Long]()
+    val out = new scala.collection.mutable.ArrayBuilder.ofLong
     var ioBytes = 0L
     for (f <- partFiles(dir)) {
       val r = new LecoFileReader(f)
       val preds = Seq(r.colIndex(filterCol) -> pred); val pc = r.colIndex(projectCol)
       for (g <- 0 until r.numGroups; sel <- r.select(g, preds) if sel.nonEmpty)
-        out ++= r.readChunk(g, pc).materialize(sel)
+        out.addAll(r.readChunk(g, pc).materialize(sel))
       ioBytes += r.bytesRead
     }
-    (out.toArray, ioBytes)
+    (out.result(), ioBytes)
   }
 
   /** Bitmap selection (§5.1.2): decode the values at the set positions of a
@@ -284,13 +286,12 @@ object LecoTable {
         val n = r.groupRows(g)
         val groupEnd = fileBase + n
         if (pi < positions.length && positions(pi) < groupEnd) {
-          val local = new scala.collection.mutable.ArrayBuffer[Int]()
           val firstPi = pi
-          while (pi < positions.length && positions(pi) < groupEnd) {
-            local += (positions(pi) - fileBase).toInt
-            pi += 1
-          }
-          val vals = r.readChunk(g, c).materialize(local.toArray)
+          while (pi < positions.length && positions(pi) < groupEnd) pi += 1
+          val local = new Array[Int](pi - firstPi)
+          var k = 0
+          while (k < local.length) { local(k) = (positions(firstPi + k) - fileBase).toInt; k += 1 }
+          val vals = r.readChunk(g, c).materialize(local)
           System.arraycopy(vals, 0, out, firstPi, vals.length)
         }
         fileBase = groupEnd

@@ -7,6 +7,7 @@ import org.apache.spark.sql.connector.catalog.SupportsRead
 import org.apache.spark.sql.connector.expressions.{Expression, Expressions, GeneralScalarExpression, Literal, NamedReference, Transform}
 import org.apache.spark.sql.connector.expressions.filter.Predicate
 import org.apache.spark.sql.connector.expressions.{filter => v2}
+import org.apache.spark.sql.connector.read.PartitionReader
 import org.apache.spark.sql.sources._
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
@@ -16,9 +17,9 @@ import repro.core.ByteLayoutSpec
 
 /** The DataSourceV2 read path driven without a SparkSession, the way a
   * Spark task calls it: `LecoDataSource` → `LecoScanBuilder` (pushed V1
-  * filters or V2 predicates, pruned columns) → `LecoPartitionReader`. The
-  * reader must emit exactly the rows within the pushed filters, in file
-  * order.
+  * filters or V2 predicates, pruned columns) → `LecoBatchReader` and its
+  * row adapter `LecoPartitionReader`. Both must emit exactly the rows within
+  * the pushed filters, in file order.
   */
 class LecoReaderSpec extends AnyFunSuite {
   import LecoReaderSpec._
@@ -26,8 +27,9 @@ class LecoReaderSpec extends AnyFunSuite {
   test("a fractional pushed literal is not truncated: ts < 5.5 keeps the ts = 5 rows") {
     val ts = Array.tabulate(40)(i => (i % 10).toLong)
     withTable(Case(Encoding.LecoFix, zstd = false, groupRows = 16, Seq(Array(ts, ts, ts)), Nil, Nil, Seq("ts"), 0L)) { dir =>
-      val (_, _, rows) = read(dir, Seq(LessThan("ts", 5.5)), Nil, Seq("ts"))
+      val (_, _, rows, batchRows) = read(dir, Seq(LessThan("ts", 5.5)), Nil, Seq("ts"))
       assert(rows.count(_(0) == 5L) == ts.count(_ == 5L))
+      assert(batchRows.count(_(0) == 5L) == ts.count(_ == 5L))
     }
   }
 
@@ -35,13 +37,13 @@ class LecoReaderSpec extends AnyFunSuite {
     val seen = scala.collection.mutable.Set[String]()
     ByteLayoutSpec.check(Prop.forAll(cases) { c =>
       withTable(c) { dir =>
-        val (pushed, pushedV2, rows) = read(dir, c.filters, c.predicates, c.columns)
+        val (pushed, pushedV2, rows, batchRows) = read(dir, c.filters, c.predicates, c.columns)
         val source = c.files.flatMap(cols => cols(0).indices.map(r => cols.map(_(r))))
         val within = (row: Array[Long]) => pushed.forall(holds(_, row)) && pushedV2.forall(holds(_, row))
         val want = source.filter(within).map(row => c.columns.map(col => row(Columns.indexOf(col))))
         seen ++= paths(c, pushed, pushedV2)
         pushed.length == c.filters.length && pushedV2.toSeq == c.predicates.filter(positiveModuli) &&
-          rows.map(_.toSeq) == want
+          rows.map(_.toSeq) == want && batchRows.map(_.toSeq) == want
       }
     })
     // the branches the generated cases reach: zone skips, the all-rows path,
@@ -232,12 +234,14 @@ object LecoReaderSpec {
     }
   }
 
-  /** The V1 filters and V2 predicates `LecoScanBuilder` accepted, and the
-    * rows the readers of all part files emitted. The predicates are pushed
-    * when there are any, else the filters (whose V2 forms are not reported).
+  /** The V1 filters and V2 predicates `LecoScanBuilder` accepted, the rows
+    * the row readers of all part files emitted, and the rows of the batches
+    * their columnar readers emitted. Every part file must be read columnar
+    * and every batch must hold a row. The predicates are pushed when there
+    * are any, else the filters (whose V2 forms are not reported).
     */
-  def read(dir: File, filters: Seq[Filter], predicates: Seq[Predicate],
-           columns: Seq[String]): (Array[Filter], Array[Predicate], Seq[Array[Long]]) = {
+  def read(dir: File, filters: Seq[Filter], predicates: Seq[Predicate], columns: Seq[String])
+      : (Array[Filter], Array[Predicate], Seq[Array[Long]], Seq[Array[Long]]) = {
     val source  = new LecoDataSource
     val options = new CaseInsensitiveStringMap(Map("path" -> dir.getPath).asJava)
     val table   = source.getTable(source.inferSchema(options), Array.empty[Transform], options).asInstanceOf[SupportsRead]
@@ -246,14 +250,24 @@ object LecoReaderSpec {
     builder.pruneColumns(StructType(columns.map(StructField(_, LongType, nullable = false))))
     val batch   = builder.build().toBatch
     val factory = batch.createReaderFactory()
-    val rows = batch.planInputPartitions().toSeq.flatMap { part =>
-      val reader = factory.createReader(part)
-      try Iterator.continually(reader).takeWhile(_.next()).map { r =>
-        val row = r.get()
-        Array.tabulate(columns.size)(row.getLong)
-      }.toVector
-      finally reader.close()
+    val parts   = batch.planInputPartitions().toSeq
+    val rows = parts.flatMap { part =>
+      drain(factory.createReader(part))(row => Seq(Array.tabulate(columns.size)(row.getLong)))
     }
-    (builder.pushedFilters(), if (predicates.nonEmpty) builder.pushedPredicates() else Array.empty, rows)
+    val batchRows = parts.flatMap { part =>
+      assert(factory.supportColumnarReads(part), s"$part is not read columnar")
+      drain(factory.createColumnarReader(part)) { b =>
+        assert(b.numRows > 0, s"an empty batch from $part")
+        (0 until b.numRows).map(r => Array.tabulate(columns.size)(c => b.column(c).getLong(r)))
+      }
+    }
+    (builder.pushedFilters(), if (predicates.nonEmpty) builder.pushedPredicates() else Array.empty, rows, batchRows)
   }
+
+  /** What `take` makes of each item `reader` emits, in order; a batch is
+    * taken apart before the next one replaces it.
+    */
+  private def drain[T, R](reader: PartitionReader[T])(take: T => Seq[R]): Vector[R] =
+    try Iterator.continually(reader).takeWhile(_.next()).flatMap(r => take(r.get())).toVector
+    finally reader.close()
 }

@@ -1,6 +1,8 @@
 package repro.lecoformat
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.{ColumnarToRowExec, InputAdapter}
+import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
 import repro.{Oracle, SparkSpec}
 
 /** DataSourceV2 path: Spark SQL over `leco` tables, with DuckDB as the
@@ -38,6 +40,18 @@ class LecoSqlSpec extends SparkSpec {
     leco.createOrReplaceTempView("leco_t")
     val out = spark.sql("SELECT ts, id, grp FROM leco_t")
     Oracle.assertEquivalent(out, "SELECT ts, id, grp FROM src", "src" -> srcDf)
+  }
+
+  test("a full scan is read as batches: ColumnarToRow sits above the leco BatchScan") {
+    leco.createOrReplaceTempView("leco_t")
+    val out = spark.sql("SELECT ts, id, grp FROM leco_t")
+    assert(out.collect().length == srcDf.count())
+    val plan = out.queryExecution.executedPlan
+    val scans = plan.collect {
+      case ColumnarToRowExec(InputAdapter(b: BatchScanExec)) => b
+      case ColumnarToRowExec(b: BatchScanExec)               => b
+    }
+    assert(scans.exists(_.scan.isInstanceOf[LecoScan]), plan)
   }
 
   test("range filter with pushdown equals oracle") {

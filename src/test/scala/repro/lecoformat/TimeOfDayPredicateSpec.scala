@@ -4,16 +4,16 @@ import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.ByteLayoutSpec
 
-/** Soundness of the remainder window's pruning over signed 64-bit values.
-  * Spark pushes every `col % m` window to the reader, so `nextMatch` and
-  * `mayMatch` decide which rows of a query are never looked at; each is
-  * checked here against a brute-force `test`.
+/** Soundness of the remainder window's and the range's pruning over signed
+  * 64-bit values. Spark pushes every `col % m` window and every range to the
+  * reader, so `nextMatch` and `mayMatch` decide which rows of a query are
+  * never looked at; each is checked here against a brute-force `test`.
   */
 class TimeOfDayPredicateSpec extends AnyFunSuite {
   import TimeOfDayPredicateSpec._
 
   test("nextMatch(a) is the first match at or after a: none in [a, nextMatch(a)) matches") {
-    ByteLayoutSpec.check(Prop.forAll(windows, anchors) { (p, as) =>
+    ByteLayoutSpec.check(Prop.forAll(Gen.oneOf(windows, ranges(Array.emptyLongArray)), anchors) { (p, as) =>
       as.forall { a =>
         val next = p.nextMatch(a)
         val before = Iterator.iterate(a)(_ + 1).take(Span).takeWhile(x => x >= a && x < next)
@@ -37,8 +37,12 @@ class TimeOfDayPredicateSpec extends AnyFunSuite {
   }
 
   test("scan with a window equals a brute-force test in every encoding, across zero") {
-    ByteLayoutSpec.check(Prop.forAll(windows.filter(_.mod <= 100_000), almostSorted, Gen.oneOf(16, 64, 512)) {
-      (p, vals, partSize) =>
+    val predicatesOver = for {
+      vals <- almostSorted
+      p    <- Gen.oneOf(windows.filter(_.mod <= 100_000), ranges(vals))
+    } yield (p, vals)
+    ByteLayoutSpec.check(Prop.forAll(predicatesOver, Gen.oneOf(16, 64, 512)) {
+      case ((p, vals), partSize) =>
         val brute = vals.indices.filter(i => p.test(vals(i)))
         Seq(Encoding.Default, Encoding.For, Encoding.LecoFix).forall { enc =>
           ChunkCodec.decode(ChunkCodec.encode(vals, enc, partSize, zstd = false)).scan(p).toSeq == brute
@@ -71,12 +75,26 @@ object TimeOfDayPredicateSpec {
     if a != b
   } yield TimeOfDayPredicate(mod, math.min(a, b), math.max(a, b))
 
-  /** Values near 0, near ±`mod` multiples and window edges, near the ends of the range, and anywhere. */
-  val anchors: Gen[Seq[Long]] = Gen.listOfN(20, Gen.zip(
+  /** A value near 0, near ±`mod` multiples and window edges, near the ends of the range, or anywhere. */
+  val anchor: Gen[Long] = Gen.zip(
     Gen.frequency(2 -> Gen.const(0L), 3 -> Gen.choose(-(1L << 20), 1L << 20).map(_ * 86400L),
                   2 -> Gen.oneOf(Long.MinValue, Long.MaxValue), 2 -> Gen.long),
     Gen.frequency(3 -> Gen.choose(-70L, 70L), 1 -> Gen.choose(-200_000L, 200_000L)))
-    .map { case (base, d) => plus(base, d) })
+    .map { case (base, d) => plus(base, d) }
+
+  val anchors: Gen[Seq[Long]] = Gen.listOfN(20, anchor)
+
+  /** `[a, b]` between two bounds, or a short range from one; empty when
+    * `a > b`. A bound is an anchor or lies next to one of `vals`.
+    */
+  def ranges(vals: Array[Long]): Gen[RangePredicate] = {
+    def near = Gen.oneOf(vals.toIndexedSeq).flatMap(v => Gen.choose(-3L, 3L).map(plus(v, _)))
+    val bound = if (vals.isEmpty) anchor else Gen.frequency(1 -> anchor, 3 -> near)
+    for {
+      a <- bound
+      b <- Gen.frequency(3 -> bound, 2 -> Gen.choose(-50L, 3000L).map(plus(a, _)))
+    } yield RangePredicate(a, b)
+  }
 
   /** Almost-sorted values within ±2^36 (the LeCo-fix bound of `LecoReaderSpec`),
     * often crossing zero: steps of up to `step`, then adjacent swaps.
