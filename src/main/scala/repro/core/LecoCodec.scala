@@ -2,7 +2,7 @@ package repro.core
 
 import java.nio.ByteBuffer
 import scala.annotation.tailrec
-import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
+import scala.collection.mutable.ArrayBuilder
 
 /** One encoded LeCo partition: linear model + fixed-width biased deltas +
   * the θ1-accumulation error-correction list (§3.3).
@@ -101,27 +101,30 @@ object LecoPartition {
     * rejected rather than packed wrong.
     */
   @tailrec private def encodeFit(fit: Fit, values: Array[Long], from: Int, until: Int, refits: Int): LecoPartition = {
-    val m        = fit.model
+    val t0       = fit.model.theta0
+    val t1       = fit.model.theta1
     val n        = until - from
     val maxDelta = if (fit.bitWidth >= 63) Long.MaxValue else (1L << fit.bitWidth) - 1
     val words    = new Array[Long](BitPack.wordsFor(n, fit.bitWidth))
-    val corr     = ArrayBuffer[Int]()
-    var acc      = m.theta0
+    val corr     = new ArrayBuilder.ofInt
+    var acc      = t0
     var fits     = true
+    var x = 0.0 // the position j as a Double, exact below 2^53 (see LineFit)
     var j = 0
     while (j < n && fits) {
-      val direct = m.predict(j)
-      if (math.floor(acc).toLong != direct) { corr += j; acc = m.theta0 + m.theta1 * j }
+      val direct = math.floor(t0 + t1 * x).toLong
+      if (math.floor(acc).toLong != direct) { corr += j; acc = t0 + t1 * x }
       val delta = values(from + j) - direct
       fits = delta >= 0 && delta <= maxDelta
       if (fits) BitPack.write(words, j.toLong * fit.bitWidth, fit.bitWidth, delta)
-      acc += m.theta1
+      acc += t1
+      x += 1.0
       j += 1
     }
-    if (fits) LecoPartition(m.theta0, m.theta1, fit.bitWidth, n, words, corr.toArray)
+    if (fits) LecoPartition(t0, t1, fit.bitWidth, n, words, corr.result())
     else {
       require(refits > 0, s"no linear model encodes values($from until $until) exactly")
-      encodeFit(Regressor.refit(m, values, from, until), values, from, until, refits - 1)
+      encodeFit(Regressor.refit(fit.model, values, from, until), values, from, until, refits - 1)
     }
   }
 
@@ -158,11 +161,16 @@ final class LecoFixCodec(val partitionSize: Int = 0) extends IntCodec {
 }
 
 object LecoFixCodec {
-  /** Compressed bytes of `sample` at partition size `l` — the search cost fn. */
-  def costAt(sample: Array[Long], l: Int): Long =
+  /** Compressed bytes of `sample` at partition size `l` — the search cost fn.
+    * Counts the model header and packed deltas, not correction lists, and
+    * reuses one [[LineFit]] across the partitions.
+    */
+  def costAt(sample: Array[Long], l: Int): Long = {
+    val line = new LineFit
     Partitioner.fixedCost(sample, l) { (s, e) =>
-      Codec.LinearHeaderBytes + BitPack.payloadBytes(e - s, Regressor.fitLinear(sample, s, e).bitWidth)
+      Codec.LinearHeaderBytes + BitPack.payloadBytes(e - s, line.fit(sample, s, e).width)
     }
+  }
 }
 
 final class LecoFixCompressed(val n: Int, val partSize: Int, val parts: Array[LecoPartition])

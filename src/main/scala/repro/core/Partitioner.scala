@@ -163,21 +163,26 @@ object Partitioner {
       encode(values, p * size, math.min(p * size + size, values.length))
     }
 
-  /** Contiguous-window sample of ~`target` values (the paper samples <1%). */
+  /** Contiguous-window sample of ~`target` values: `target / 8192` windows of
+    * 8192 values at seeded random starts. Inputs of at most `target` values
+    * are used whole. With the default 65,536 this is far from the paper's
+    * <1%: 33% of a 200k-value `codec_micro` set, 6.5% of a Fig 10 set.
+    */
   def sampleOf(values: Array[Long], target: Int, seed: Long): Array[Long] = {
     val n = values.length
     if (n <= target) return values
     val window  = 8192
     val nWin    = math.max(1, target / window)
+    val len     = math.min(window, n)
     val rnd     = new scala.util.Random(seed)
-    val out     = new ArrayBuffer[Long](nWin * window)
+    val out     = new Array[Long](nWin * len)
     var w = 0
     while (w < nWin) {
       val s = rnd.nextInt(math.max(1, n - window))
-      out ++= values.view.slice(s, s + window)
+      System.arraycopy(values, s, out, w * len, len)
       w += 1
     }
-    out.toArray
+    out
   }
 
   /** Exact DP-optimal partitioning for the linear regressor — O(n³), test

@@ -32,26 +32,8 @@ object Regressor {
   /** Least-squares slope/intercept over positions `0..n-1` of
     * `values(from until until)`, then fold the min delta into θ0.
     */
-  def fitLinear(values: Array[Long], from: Int, until: Int): Fit = {
-    val n = until - from
-    require(n >= 1, "empty partition")
-    if (n == 1) return Fit(LinearModel(values(from).toDouble, 0.0), 0)
-    // LSM closed form; positions are 0..n-1 so the sums are analytic.
-    val sumX  = n.toDouble * (n - 1) / 2.0
-    val sumXX = (n - 1).toDouble * n * (2L * n - 1) / 6.0
-    var sumY  = 0.0
-    var sumXY = 0.0
-    var i = 0
-    while (i < n) {
-      val y = values(from + i).toDouble
-      sumY += y; sumXY += i * y
-      i += 1
-    }
-    val denom  = n * sumXX - sumX * sumX
-    val theta1 = if (denom == 0) 0.0 else (n * sumXY - sumX * sumY) / denom
-    val theta0 = (sumY - theta1 * sumX) / n
-    refit(LinearModel(theta0, theta1), values, from, until)
-  }
+  def fitLinear(values: Array[Long], from: Int, until: Int): Fit =
+    new LineFit().fit(values, from, until).toFit
 
   /** Exact frame min/max (FOR must NOT round the reference through a Double:
     * values above 2^53 would corrupt the offsets).
@@ -73,24 +55,79 @@ object Regressor {
   }
 
   /** Given a candidate model, fold the min delta into θ0 and report the
-    * resulting non-negative delta width. Folding an *integer* shift keeps
-    * `floor` exact: floor(x + k) = floor(x) + k for integer k.
+    * resulting non-negative delta width. The fold is exact only in exact
+    * arithmetic: once folded, a prediction within an ulp of an integer can
+    * land one off, which `LecoPartition.encodeFit` catches by refolding or
+    * rejecting the fit.
     */
-  def refit(m: LinearModel, values: Array[Long], from: Int, until: Int): Fit = {
-    var dMin = Long.MaxValue; var dMax = Long.MinValue
-    var i = from
-    while (i < until) {
-      val d = values(i) - m.predict(i - from)
-      if (d < dMin) dMin = d
-      if (d > dMax) dMax = d
-      i += 1
-    }
-    Fit(LinearModel(m.theta0 + dMin, m.theta1), BitPack.bitsFor(dMax - dMin))
-  }
+  def refit(m: LinearModel, values: Array[Long], from: Int, until: Int): Fit =
+    new LineFit().window(values, from, until, m.theta0, m.theta1).toFit
 
   /** Exact delta width a linear fit would need on `values(from until until)` —
     * the Δ(v) function of §3.2.2, used by partitioners and tests.
     */
   def linearDeltaBits(values: Array[Long], from: Int, until: Int): Int =
-    fitLinear(values, from, until).bitWidth
+    new LineFit().fit(values, from, until).width
+}
+
+/** The least-squares line of one partition and the window of its deltas,
+  * held in fields so that a caller fitting many partitions (the fixed-size
+  * search) reuses one instance and allocates no [[Fit]] per partition.
+  *
+  * The loops carry the position as a `Double` counter (`x += 1.0`). It is
+  * exact below 2^53, so `θ0 + θ1·x` has the bits of `θ0 + θ1·i` without an
+  * int→double convert per value; θ is read into locals once.
+  */
+private[core] final class LineFit {
+  private var theta0 = 0.0
+  private var theta1 = 0.0
+  /** Smallest and largest `v(i) - floor(θ0 + θ1·i)` of the last window. */
+  private var dMin = 0L
+  private var dMax = 0L
+
+  def width: Int = BitPack.bitsFor(dMax - dMin)
+  /** The model with δmin folded into θ0, so every delta is non-negative. */
+  def toFit: Fit = Fit(LinearModel(theta0 + dMin, theta1), width)
+
+  /** Least-squares θ over positions `0..n-1`, then its delta window. */
+  def fit(values: Array[Long], from: Int, until: Int): this.type = {
+    val n = until - from
+    require(n >= 1, "empty partition")
+    if (n == 1) {
+      theta0 = values(from).toDouble; theta1 = 0.0; dMin = 0L; dMax = 0L
+      return this
+    }
+    // LSM closed form; positions are 0..n-1 so the sums are analytic.
+    val sumX  = n.toDouble * (n - 1) / 2.0
+    val sumXX = (n - 1).toDouble * n * (2L * n - 1) / 6.0
+    var sumY  = 0.0
+    var sumXY = 0.0
+    var x = 0.0
+    var i = from
+    while (i < until) {
+      val y = values(i).toDouble
+      sumY += y; sumXY += x * y
+      x += 1.0
+      i += 1
+    }
+    val denom = n * sumXX - sumX * sumX
+    val t1    = if (denom == 0) 0.0 else (n * sumXY - sumX * sumY) / denom
+    window(values, from, until, (sumY - t1 * sumX) / n, t1)
+  }
+
+  /** Sets θ and the range of `values(from + j) - floor(θ0 + θ1·j)`. */
+  def window(values: Array[Long], from: Int, until: Int, t0: Double, t1: Double): this.type = {
+    var mn = Long.MaxValue; var mx = Long.MinValue
+    var x = 0.0
+    var i = from
+    while (i < until) {
+      val d = values(i) - math.floor(t0 + t1 * x).toLong
+      if (d < mn) mn = d
+      if (d > mx) mx = d
+      x += 1.0
+      i += 1
+    }
+    theta0 = t0; theta1 = t1; dMin = mn; dMax = mx
+    this
+  }
 }

@@ -103,6 +103,15 @@ class PartitionerSpec extends AnyFunSuite {
     val s = sampleOf(vals, 65536, 1)
     assert(s.length <= 65536 + 8192)
     assert(s.length >= 8192)
+    // exactly the 8 windows of 8192 values at the seeded starts, in draw order
+    val r = new scala.util.Random(1)
+    val windows = Array.fill(8)(r.nextInt(vals.length - 8192)).flatMap(st => vals.slice(st, st + 8192))
+    assert(s.sameElements(windows))
+  }
+
+  test("sampleOf with a target under one window takes one clamped window") {
+    val vals = Array.tabulate(5000)(_.toLong * 3)
+    assert(sampleOf(vals, 1000, 1).sameElements(vals))
   }
 
   test("single-element input") {
