@@ -15,11 +15,10 @@ import java.nio.{BufferUnderflowException, ByteBuffer, ByteOrder}
   */
 object BitPack {
 
-  /** Bits required to represent `x` (>= 0) as an unsigned integer; 0 for 0. */
-  def bitsFor(x: Long): Int = {
-    require(x >= 0, s"bitsFor on negative value $x")
-    if (x == 0) 0 else 64 - java.lang.Long.numberOfLeadingZeros(x)
-  }
+  /** Bits required to represent `x` read as an unsigned integer: 0 for 0,
+    * 64 for a negative `x`.
+    */
+  def bitsFor(x: Long): Int = 64 - java.lang.Long.numberOfLeadingZeros(x)
 
   /** Number of 64-bit words needed to hold `n` values of width `b`. */
   def wordsFor(n: Int, b: Int): Int = {

@@ -109,10 +109,10 @@ trait IntCodec {
 /** Shared helpers for per-partition formats. */
 object Codec {
   /** Header of a LeCo partition as `LecoPartition.writeTo` writes it: the
-    * partition length (4B), θ0, θ1 (two f64) and the delta bit width (1B).
+    * partition length (4B), the anchor (8B), the delta bit width (1B) and θ1 (f64).
     */
-  val LinearHeaderBytes: Int = 4 + 8 + 8 + 1
-  /** Header of a FOR / Delta partition as `ForPartition.writeTo` and
+  val LinearHeaderBytes: Int = 4 + 8 + 1 + 8
+  /** Header of a FOR / Delta partition as `LecoPartition.writeTo` and
     * `DeltaPartition.writeTo` write it: length (4B), reference (8B), width (1B).
     */
   val SimpleHeaderBytes: Int = 4 + 8 + 1

@@ -1,146 +1,147 @@
 package repro.core
 
-import java.nio.ByteBuffer
-import scala.annotation.tailrec
+import java.nio.{ByteBuffer, ByteOrder}
 import scala.collection.mutable.ArrayBuilder
 
-/** One encoded LeCo partition: linear model + fixed-width biased deltas +
-  * the θ1-accumulation error-correction list (§3.3).
+/** One encoded partition of LeCo or FOR: a model, `predict(j) = anchor +
+  * floor(θ1·j)`, plus fixed-width non-negative deltas (§3). FOR is the
+  * constant model, θ1 = 0, whose anchor is the frame minimum (§2).
   *
-  * `corrections` holds the in-partition positions where sequential decode via
-  * `pred += θ1` floors differently from direct inference `floor(θ0 + θ1·i)`;
-  * at those positions the decoder recomputes directly and resynchronizes.
+  * The anchor is an exact `Long` that no `Double` touches, and the sums wrap,
+  * so every partition of every input is exact and fits a width of 64. Decode
+  * computes `floor(θ1·j)` directly, one multiply per value, so there is no
+  * §3.3 correction list.
   *
-  * Byte layout: `[len:i32][θ0:f64][θ1:f64][width:u8]`, then, when the high
-  * bit of the width byte is set, `[count:i32][position:i32 × count]` of the
-  * correction list, then the packed deltas.
+  * Byte layout: `[len:i32][anchor:i64][width:u8]`, the high bit of the width
+  * byte set when `[θ1:f64]` follows (`linear`: always for LeCo, never for
+  * FOR), then the packed deltas.
   */
-final case class LecoPartition(theta0: Double, theta1: Double, width: Int,
-                               len: Int, words: Array[Long], corrections: Array[Int]) extends EncodedPartition {
-  @inline def predict(j: Int): Long = math.floor(theta0 + theta1 * j).toLong
+final case class LecoPartition(anchor: Long, theta1: Double, linear: Boolean, width: Int,
+                               len: Int, words: Array[Long]) extends EncodedPartition {
+  @inline def predict(j: Int): Long = anchor + LineFit.floorAt(theta1, j)
   @inline def get(j: Int): Long = predict(j) + BitPack.read(words, j, width)
 
-  /** Sequential decode with the accumulation optimization (one FP add per
-    * value instead of mul+add), writing into `out(outOff ...)`.
-    */
+  /** Always empty; kept only for perfbench's `leco.corrections` count. */
+  def corrections: Array[Int] = Array.emptyIntArray
+
+  /** Sequential decode into `out(outOff ...)`; the position is a `Double` counter, as in [[LineFit]]. */
   def decodeInto(out: Array[Long], outOff: Int): Unit = {
-    var acc  = theta0
-    var ci   = 0
-    var j    = 0
+    val t1 = theta1
+    var x = 0.0
+    var j = 0
     while (j < len) {
-      var base = math.floor(acc).toLong
-      if (ci < corrections.length && corrections(ci) == j) {
-        base = predict(j) // resynchronize at a recorded precision slip
-        acc  = theta0 + theta1 * j
-        ci += 1
-      }
-      out(outOff + j) = base + BitPack.read(words, j, width)
-      acc += theta1
+      out(outOff + j) = anchor + LineFit.floorAt(t1, x) + BitPack.read(words, j, width)
+      x += 1.0
       j += 1
     }
   }
 
   /** Partition-bound skipping plus LeCo's in-partition computation pruning
-    * (§5.1.1): model prediction is a lower bound of the value (deltas are
-    * biased non-negative), so with θ1 > 0 the scanner jumps over position
-    * ranges whose value interval provably misses the predicate.
+    * (§5.1.1). The value at `j` lies in `[predict(j), predict(j) + span]`, so
+    * with θ1 > 0 the scanner jumps over position ranges whose values
+    * provably miss the predicate. Where those bounds would wrap past the
+    * signed range, every value is decoded and tested.
     */
   override def scanInto(pred: ScanPredicate, base: Int, out: ArrayBuilder.ofInt): Unit = {
-    val maxDelta = if (width >= 63) Long.MaxValue / 2 else (1L << width) - 1
-    val pLo = math.min(predict(0), predict(len - 1))
-    val pHi = math.max(predict(0), predict(len - 1)) + maxDelta
-    if (pred.mayMatch(pLo, pHi)) {
+    // the largest delta, unsigned, capped so that `anchor + span` stays a Long
+    val maxDelta = if (width == 64) -1L else (1L << width) - 1
+    val span = if (java.lang.Long.compareUnsigned(maxDelta, Long.MaxValue - anchor) > 0) Long.MaxValue - anchor
+               else maxDelta
+    val pEnd = LineFit.floorAt(theta1, len - 1) // floor(θ1·j) is monotone and 0 at j = 0
+    val lo = anchor + math.min(pEnd, 0L)
+    val hi = anchor + span + math.max(pEnd, 0L)
+    if (lo > anchor || hi < anchor + span) super.scanInto(pred, base, out)
+    else if (pred.mayMatch(lo, hi)) {
       val jumpable = theta1 > 0
       var j = 0
       while (j < len) {
-        val lo = predict(j)
-        val next = if (jumpable) pred.nextMatch(lo) else lo
-        // `next >= lo`; a difference past Long.MaxValue wraps negative and does not jump
-        if (next - lo > maxDelta) {
-          // no value at or after j can match before the next match:
-          // values at positions j..k-1 all lie in [lo, nextMatch).
-          val target = next - maxDelta
-          val skip = math.max(1L, ((target - theta0) / theta1).toLong - j)
-          j += math.min(skip, (len - j).toLong).toInt
+        val low = predict(j)
+        val next = if (jumpable) pred.nextMatch(low) else low
+        if (java.lang.Long.compareUnsigned(next - low, span) > 0) {
+          // positions j..k-1 predict below `next - span`, so none reaches `next`
+          val target = next - span
+          val t = target - anchor // what floor(θ1·k) must reach; wrapped negative, no k does
+          var k = if (t < 0) len else math.max(j + 1, math.min(len.toDouble, t / theta1).toInt)
+          while (k > j + 1 && predict(k - 1) >= target) k -= 1
+          j = k
         } else {
-          // value = lo + delta: reuse the bound instead of a second predict
-          if (pred.test(lo + BitPack.read(words, j, width))) out += base + j
+          // value = low + delta: reuse the bound instead of a second predict
+          if (pred.test(low + BitPack.read(words, j, width))) out += base + j
           j += 1
         }
       }
     }
   }
 
+  def headerBytes: Int = if (linear) Codec.LinearHeaderBytes else Codec.SimpleHeaderBytes
   def payloadBytes: Long = BitPack.payloadBytes(len, width)
-  def sizeBytes: Long =
-    Codec.LinearHeaderBytes + (if (corrections.isEmpty) 0 else 4 + 4L * corrections.length) + payloadBytes
+  def sizeBytes: Long = headerBytes + payloadBytes
 
   def writeTo(buf: ByteBuffer): Unit = {
-    buf.putInt(len).putDouble(theta0).putDouble(theta1)
-    if (corrections.isEmpty) buf.put(width.toByte)
-    else {
-      buf.put((width | LecoPartition.CorrectionsFlag).toByte).putInt(corrections.length)
-      corrections.foreach(buf.putInt)
-    }
+    buf.putInt(len).putLong(anchor)
+    if (linear) buf.put((width | LecoPartition.SlopeFlag).toByte).putDouble(theta1)
+    else buf.put(width.toByte)
     BitPack.putPayload(buf, words, len, width)
   }
 }
 
 object LecoPartition {
-  private val CorrectionsFlag = 0x80
+  private val SlopeFlag = 0x80
 
-  /** Fit + encode one partition of `values(from until until)`. */
+  /** Fit + encode one LeCo partition of `values(from until until)`. */
   def encode(values: Array[Long], from: Int, until: Int): LecoPartition =
-    encodeFit(Regressor.fitLinear(values, from, until), values, from, until, refits = 3)
+    pack(Regressor.fitLinear(values, from, until), linear = true, values, from, until)
 
-  /** Encodes with `fit`, or, when a delta falls outside `[0, 2^width)`, with
-    * `fit` folded again from the deltas it really has. Folding δmin into θ0
-    * (`Regressor.refit`) keeps `floor` exact only in exact arithmetic: a
-    * prediction within an ulp of an integer can land one off once folded,
-    * even on values below 10. A fit still off after `refits` folds is
-    * rejected rather than packed wrong.
+  /** Encodes one FOR frame of `values(from until until)`: the constant model. */
+  def encodeConstant(values: Array[Long], from: Int, until: Int): LecoPartition =
+    pack(new LineFit().window(values, from, until, 0.0).toFit, linear = false, values, from, until)
+
+  /** Packs `v(j) - floor(θ1·j) - anchor` of `fit`'s window: each lies in
+    * `[0, δmax − δmin]`, which the fit's width holds.
     */
-  @tailrec private def encodeFit(fit: Fit, values: Array[Long], from: Int, until: Int, refits: Int): LecoPartition = {
-    val t0       = fit.model.theta0
-    val t1       = fit.model.theta1
-    val n        = until - from
-    val maxDelta = if (fit.bitWidth >= 63) Long.MaxValue else (1L << fit.bitWidth) - 1
-    val words    = new Array[Long](BitPack.wordsFor(n, fit.bitWidth))
-    val corr     = new ArrayBuilder.ofInt
-    var acc      = t0
-    var fits     = true
-    var x = 0.0 // the position j as a Double, exact below 2^53 (see LineFit)
+  private def pack(fit: Fit, linear: Boolean, values: Array[Long], from: Int, until: Int): LecoPartition = {
+    val t1     = fit.theta1
+    val anchor = fit.anchor
+    val width  = fit.bitWidth
+    val n      = until - from
+    val words  = new Array[Long](BitPack.wordsFor(n, width))
+    var x = 0.0
     var j = 0
-    while (j < n && fits) {
-      val direct = math.floor(t0 + t1 * x).toLong
-      if (math.floor(acc).toLong != direct) { corr += j; acc = t0 + t1 * x }
-      val delta = values(from + j) - direct
-      fits = delta >= 0 && delta <= maxDelta
-      if (fits) BitPack.write(words, j.toLong * fit.bitWidth, fit.bitWidth, delta)
-      acc += t1
+    while (j < n) {
+      BitPack.write(words, j.toLong * width, width, values(from + j) - LineFit.floorAt(t1, x) - anchor)
       x += 1.0
       j += 1
     }
-    if (fits) LecoPartition(t0, t1, fit.bitWidth, n, words, corr.result())
-    else {
-      require(refits > 0, s"no linear model encodes values($from until $until) exactly")
-      encodeFit(Regressor.refit(fit.model, values, from, until), values, from, until, refits - 1)
-    }
+    LecoPartition(anchor, t1, linear, width, n, words)
   }
 
   def read(buf: ByteBuffer): LecoPartition = {
     val len = PartitionedInts.readLen(buf)
-    val t0 = buf.getDouble; val t1 = buf.getDouble
+    val anchor = buf.getLong
     val flags = buf.get() & 0xff
-    val width = PartitionedInts.checkWidth(flags & ~CorrectionsFlag)
-    val corr =
-      if ((flags & CorrectionsFlag) == 0) Array.emptyIntArray
-      else {
-        val count = buf.getInt
-        require(count > 0 && count <= len, s"$count corrections in a partition of $len")
-        Array.fill(count)(buf.getInt)
-      }
-    LecoPartition(t0, t1, width, len, BitPack.getPayload(buf, len, width), corr)
+    val width = PartitionedInts.checkWidth(flags & ~SlopeFlag)
+    val linear = (flags & SlopeFlag) != 0
+    val theta1 = if (linear) buf.getDouble else 0.0
+    LecoPartition(anchor, theta1, linear, width, len, BitPack.getPayload(buf, len, width))
+  }
+
+  /** `get(j)` of the partition whose bytes start at `off` of the source
+    * `bytes(off, len)`, reading only its header and the payload word(s)
+    * that hold delta `j`: a paged dictionary's lookup.
+    */
+  def getAt(bytes: (Long, Int) => Array[Byte], off: Long, j: Int): Long = {
+    val hdr = ByteBuffer.wrap(bytes(off, Codec.LinearHeaderBytes))
+    hdr.getInt // len
+    val anchor = hdr.getLong
+    val flags = hdr.get() & 0xff
+    val width = flags & ~SlopeFlag
+    val theta1 = if ((flags & SlopeFlag) != 0) hdr.getDouble else 0.0
+    val bitPos = j.toLong * width
+    val spills = (bitPos & 63) + width > 64
+    val payload = ByteBuffer.wrap(bytes(off + hdr.position() + (bitPos >>> 6) * 8, if (spills) 16 else 8))
+      .order(ByteOrder.LITTLE_ENDIAN)
+    val words = Array(payload.getLong(0), if (spills) payload.getLong(8) else 0L)
+    anchor + LineFit.floorAt(theta1, j) + BitPack.readAt(words, bitPos & 63, width)
   }
 }
 
@@ -162,8 +163,7 @@ final class LecoFixCodec(val partitionSize: Int = 0) extends IntCodec {
 
 object LecoFixCodec {
   /** Compressed bytes of `sample` at partition size `l` — the search cost fn.
-    * Counts the model header and packed deltas, not correction lists, and
-    * reuses one [[LineFit]] across the partitions.
+    * Reuses one [[LineFit]] across the partitions.
     */
   def costAt(sample: Array[Long], l: Int): Long = {
     val line = new LineFit
@@ -173,9 +173,9 @@ object LecoFixCodec {
   }
 }
 
+/** Fixed-length partitions of LeCo-fix or FOR, located by division. */
 final class LecoFixCompressed(val n: Int, val partSize: Int, val parts: Array[LecoPartition])
     extends FixedPartitions {
-  override def modelBytes: Long = parts.length.toLong * Codec.LinearHeaderBytes
   def get(i: Int): Long = { val p = parts(i / partSize); p.get(i % partSize) }
 }
 
@@ -200,7 +200,6 @@ final class LecoVarCodec(val tau: Double = 0.1) extends IntCodec {
 
 final class LecoVarCompressed(val n: Int, val starts: Array[Int], val parts: Array[LecoPartition])
     extends VariablePartitions {
-  override def modelBytes: Long = parts.length.toLong * Codec.LinearHeaderBytes
   def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
 }
 

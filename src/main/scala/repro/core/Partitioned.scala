@@ -5,10 +5,11 @@ import scala.collection.mutable.ArrayBuilder
 import scala.reflect.ClassTag
 
 /** One encoded partition of FOR, Delta or LeCo. Its bytes in the layout
-  * start with its length.
+  * start with its length; `headerBytes` of them precede the packed deltas.
   */
 trait EncodedPartition {
   def len: Int
+  def headerBytes: Int
   def sizeBytes: Long
   def writeTo(buf: ByteBuffer): Unit
   def decodeInto(out: Array[Long], outOff: Int): Unit
@@ -41,6 +42,9 @@ trait PartitionedInts extends ByteLayout {
     while (p < parts.length) { total += parts(p).sizeBytes; p += 1 }
     total
   }
+
+  /** The partitions' headers: the model side of the Fig 10 breakdown. */
+  override def modelBytes: Long = parts.iterator.map(_.headerBytes.toLong).sum
 
   def writeTo(buf: ByteBuffer): Unit = {
     buf.putInt(n).putInt(k)

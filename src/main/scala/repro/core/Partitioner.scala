@@ -33,24 +33,28 @@ object Partitioner {
   }
 
   @inline private def zigzag(d: Long): Long = (d << 1) ^ (d >> 63)
+  @inline private def umax(a: Long, b: Long): Long = if (java.lang.Long.compareUnsigned(a, b) >= 0) a else b
 
-  /** Interior-diff aggregates of a partition, combinable across a boundary
-    * diff in O(1) — this is what makes split and merge linear-time.
+  /** Interior-diff aggregates of a partition's `len` diffs, combinable across
+    * a boundary diff in O(1) — this is what makes split and merge
+    * linear-time. Diffs wrap; `maxD - minD` and `maxZ` are read unsigned.
     */
   private final case class Agg(maxD: Long, minD: Long, maxZ: Long, len: Int) {
-    def width(mode: Mode): Int = mode match {
-      case LinearMode => if (maxD == Long.MinValue) 0 else BitPack.bitsFor(maxD - minD)
-      case DeltaMode  => if (maxZ < 0) 0 else BitPack.bitsFor(maxZ)
-    }
+    def width(mode: Mode): Int =
+      if (len == 0) 0
+      else mode match {
+        case LinearMode => BitPack.bitsFor(maxD - minD)
+        case DeltaMode  => BitPack.bitsFor(maxZ)
+      }
     def add(d: Long): Agg =
-      Agg(math.max(maxD, d), math.min(minD, d), math.max(maxZ, zigzag(d)), len + 1)
+      Agg(math.max(maxD, d), math.min(minD, d), umax(maxZ, zigzag(d)), len + 1)
     def merge(boundary: Long, o: Agg): Agg =
       Agg(math.max(math.max(maxD, boundary), o.maxD),
           math.min(math.min(minD, boundary), o.minD),
-          math.max(math.max(maxZ, zigzag(boundary)), o.maxZ),
+          umax(umax(maxZ, zigzag(boundary)), o.maxZ),
           len + 1 + o.len)
   }
-  private val EmptyAgg = Agg(Long.MinValue, Long.MaxValue, -1L, 0)
+  private val EmptyAgg = Agg(Long.MinValue, Long.MaxValue, 0L, 0)
 
   /** Greedy variable-length partitioning (§3.2.2).
     *
@@ -151,6 +155,7 @@ object Partitioner {
     * `values` — the shape of every fixed-size search cost fn.
     */
   def fixedCost(values: Array[Long], size: Int)(cost: (Int, Int) => Long): Long = {
+    require(size > 0, s"partition size $size")
     var total = 0L
     var s = 0
     while (s < values.length) { val e = math.min(s + size, values.length); total += cost(s, e); s = e }
@@ -158,10 +163,12 @@ object Partitioner {
   }
 
   /** Encodes consecutive `size`-value partitions of `values`. */
-  def encodeFixed[P: ClassTag](values: Array[Long], size: Int)(encode: (Array[Long], Int, Int) => P): Array[P] =
+  def encodeFixed[P: ClassTag](values: Array[Long], size: Int)(encode: (Array[Long], Int, Int) => P): Array[P] = {
+    require(size > 0, s"partition size $size")
     Array.tabulate((values.length + size - 1) / size) { p =>
       encode(values, p * size, math.min(p * size + size, values.length))
     }
+  }
 
   /** Contiguous-window sample of ~`target` values: `target / 8192` windows of
     * 8192 values at seeded random starts. Inputs of at most `target` values

@@ -1,67 +1,35 @@
 package repro.core
 
-/** A fitted model for one partition: `predict(i) = floor(theta0 + theta1 * i)`
-  * where `i` is the position *within* the partition.
+/** A fitted model for one partition, `predict(j) = anchor + floor(theta1 * j)`
+  * where `j` is the position *within* the partition, and the width of its
+  * deltas.
   *
-  * Encoding stores `delta(i) = v(i) - predict(i)` biased to be non-negative
-  * (the minimum delta is folded into `theta0`, see [[Regressor.fitLinear]]),
-  * so the packed width is `bitsFor(deltaMax - deltaMin)` — identical to the
-  * paper's θ0-tweak, which centers deltas so that
-  * φ = ⌈log2 L⌉ with L = |δmax| + |δmin|.
+  * The anchor is the smallest `v(j) - floor(θ1·j)`, an exact `Long`, so every
+  * delta `v(j) - predict(j)` is non-negative and the packed width is
+  * `bitsFor(δmax − δmin)` — the paper's θ0-tweak, which centers deltas so
+  * that φ = ⌈log2 L⌉ with L = |δmax| + |δmin|. The sums wrap and the width
+  * reads them unsigned, so 64 bits hold the deltas of any input.
   */
-final case class LinearModel(theta0: Double, theta1: Double) {
-  def predict(i: Int): Long = math.floor(theta0 + theta1 * i).toLong
+final case class Fit(anchor: Long, theta1: Double, bitWidth: Int) {
+  def predict(j: Int): Long = anchor + LineFit.floorAt(theta1, j)
 }
 
-/** Result of fitting one partition: the (bias-folded) model and the width of
-  * the resulting non-negative delta array.
-  */
-final case class Fit(model: LinearModel, bitWidth: Int)
-
-/** The LeCo Regressor (§3.1): least-squares linear fit with the θ0 tweak.
+/** The LeCo Regressor (§3.1): least-squares slope with the θ0 tweak.
   *
   * The classic LSM minimizes the l2 norm of the deltas; LeCo's objective is
   * the *bit width* of the max absolute delta (deltas are stored fixed-width).
-  * Shifting the intercept only moves the delta window, so after LSM we fold
-  * the minimum delta into θ0, making all deltas non-negative with range
-  * `L = δmax − δmin`; the packed width `bitsFor(L)` then equals the paper's
-  * minimized φ for this slope.
+  * Shifting the intercept only moves the delta window, so the intercept is
+  * the minimum delta of the slope alone, making all deltas non-negative with
+  * range `L = δmax − δmin`; the packed width `bitsFor(L)` then equals the
+  * paper's minimized φ for this slope.
   */
 object Regressor {
 
-  /** Least-squares slope/intercept over positions `0..n-1` of
-    * `values(from until until)`, then fold the min delta into θ0.
+  /** Least-squares slope over positions `0..n-1` of `values(from until until)`,
+    * anchored at the minimum delta.
     */
   def fitLinear(values: Array[Long], from: Int, until: Int): Fit =
     new LineFit().fit(values, from, until).toFit
-
-  /** Exact frame min/max (FOR must NOT round the reference through a Double:
-    * values above 2^53 would corrupt the offsets).
-    */
-  def minMax(values: Array[Long], from: Int, until: Int): (Long, Long) = {
-    var mn = Long.MaxValue; var mx = Long.MinValue
-    var i = from
-    while (i < until) { val v = values(i); if (v < mn) mn = v; if (v > mx) mx = v; i += 1 }
-    (mn, mx)
-  }
-
-  /** The FOR model: a horizontal line at the frame minimum (§2). NOTE the
-    * Double θ0 is only the *model view*; FOR encoders must take the exact
-    * reference from [[minMax]].
-    */
-  def fitConstant(values: Array[Long], from: Int, until: Int): Fit = {
-    val (mn, mx) = minMax(values, from, until)
-    Fit(LinearModel(mn.toDouble, 0.0), BitPack.bitsFor(mx - mn))
-  }
-
-  /** Given a candidate model, fold the min delta into θ0 and report the
-    * resulting non-negative delta width. The fold is exact only in exact
-    * arithmetic: once folded, a prediction within an ulp of an integer can
-    * land one off, which `LecoPartition.encodeFit` catches by refolding or
-    * rejecting the fit.
-    */
-  def refit(m: LinearModel, values: Array[Long], from: Int, until: Int): Fit =
-    new LineFit().window(values, from, until, m.theta0, m.theta1).toFit
 
   /** Exact delta width a linear fit would need on `values(from until until)` —
     * the Δ(v) function of §3.2.2, used by partitioners and tests.
@@ -70,33 +38,27 @@ object Regressor {
     new LineFit().fit(values, from, until).width
 }
 
-/** The least-squares line of one partition and the window of its deltas,
+/** The least-squares slope of one partition and the window of its deltas,
   * held in fields so that a caller fitting many partitions (the fixed-size
   * search) reuses one instance and allocates no [[Fit]] per partition.
   *
   * The loops carry the position as a `Double` counter (`x += 1.0`). It is
-  * exact below 2^53, so `θ0 + θ1·x` has the bits of `θ0 + θ1·i` without an
-  * int→double convert per value; θ is read into locals once.
+  * exact below 2^53, so `θ1·x` has the bits of `θ1·j` without an
+  * int→double convert per value; θ1 is read into a local once.
   */
 private[core] final class LineFit {
-  private var theta0 = 0.0
   private var theta1 = 0.0
-  /** Smallest and largest `v(i) - floor(θ0 + θ1·i)` of the last window. */
+  /** Smallest and largest `v(j) - floor(θ1·j)` of the last window, wrapped. */
   private var dMin = 0L
   private var dMax = 0L
 
   def width: Int = BitPack.bitsFor(dMax - dMin)
-  /** The model with δmin folded into θ0, so every delta is non-negative. */
-  def toFit: Fit = Fit(LinearModel(theta0 + dMin, theta1), width)
+  def toFit: Fit = Fit(dMin, theta1, width)
 
-  /** Least-squares θ over positions `0..n-1`, then its delta window. */
+  /** Least-squares θ1 over positions `0..n-1`, then its delta window. */
   def fit(values: Array[Long], from: Int, until: Int): this.type = {
     val n = until - from
     require(n >= 1, "empty partition")
-    if (n == 1) {
-      theta0 = values(from).toDouble; theta1 = 0.0; dMin = 0L; dMax = 0L
-      return this
-    }
     // LSM closed form; positions are 0..n-1 so the sums are analytic.
     val sumX  = n.toDouble * (n - 1) / 2.0
     val sumXX = (n - 1).toDouble * n * (2L * n - 1) / 6.0
@@ -111,23 +73,30 @@ private[core] final class LineFit {
       i += 1
     }
     val denom = n * sumXX - sumX * sumX
-    val t1    = if (denom == 0) 0.0 else (n * sumXY - sumX * sumY) / denom
-    window(values, from, until, (sumY - t1 * sumX) / n, t1)
+    window(values, from, until, if (denom == 0) 0.0 else (n * sumXY - sumX * sumY) / denom)
   }
 
-  /** Sets θ and the range of `values(from + j) - floor(θ0 + θ1·j)`. */
-  def window(values: Array[Long], from: Int, until: Int, t0: Double, t1: Double): this.type = {
+  /** Sets θ1 and the signed range of `values(from + j) - floor(θ1·j)`. */
+  def window(values: Array[Long], from: Int, until: Int, t1: Double): this.type = {
     var mn = Long.MaxValue; var mx = Long.MinValue
     var x = 0.0
     var i = from
     while (i < until) {
-      val d = values(i) - math.floor(t0 + t1 * x).toLong
+      val d = values(i) - LineFit.floorAt(t1, x)
       if (d < mn) mn = d
       if (d > mx) mx = d
       x += 1.0
       i += 1
     }
-    theta0 = t0; theta1 = t1; dMin = mn; dMax = mx
+    theta1 = t1; dMin = mn; dMax = mx
     this
   }
+}
+
+private[core] object LineFit {
+  /** `floor(θ1·x)`, the slope's part of a prediction. θ1 = 0 (FOR) skips
+    * the multiply; in a loop the JIT hoists the test, so a FOR loop runs
+    * without it.
+    */
+  @inline def floorAt(t1: Double, x: Double): Long = if (t1 == 0.0) 0L else math.floor(t1 * x).toLong
 }

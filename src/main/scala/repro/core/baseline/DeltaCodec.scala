@@ -28,7 +28,8 @@ final case class DeltaPartition(first: Long, width: Int, len: Int, words: Array[
     while (k < len - 1) { v += unzig(BitPack.read(words, k, width)); out(outOff + k + 1) = v; k += 1 }
   }
 
-  def sizeBytes: Long = Codec.SimpleHeaderBytes + BitPack.payloadBytes(len - 1, width)
+  def headerBytes: Int = Codec.SimpleHeaderBytes
+  def sizeBytes: Long = headerBytes + BitPack.payloadBytes(len - 1, width)
 
   def writeTo(buf: ByteBuffer): Unit = {
     buf.putInt(len).putLong(first).put(width.toByte)
@@ -41,9 +42,13 @@ object DeltaPartition {
 
   def encode(values: Array[Long], from: Int, until: Int): DeltaPartition = {
     val n = until - from
-    var maxZ = 0L
+    var maxZ = 0L // unsigned: a diff of 2^62 or more zigzags past Long.MaxValue
     var k = from + 1
-    while (k < until) { val z = zigzag(values(k) - values(k - 1)); if (z > maxZ) maxZ = z; k += 1 }
+    while (k < until) {
+      val z = zigzag(values(k) - values(k - 1))
+      if (java.lang.Long.compareUnsigned(z, maxZ) > 0) maxZ = z
+      k += 1
+    }
     val b = BitPack.bitsFor(maxZ)
     val words = new Array[Long](BitPack.wordsFor(n - 1, b))
     k = from + 1
@@ -81,7 +86,6 @@ object DeltaFixCodec {
 
 final class DeltaFixCompressed(val n: Int, val partSize: Int, val parts: Array[DeltaPartition])
     extends FixedPartitions {
-  override def modelBytes: Long = parts.length.toLong * Codec.SimpleHeaderBytes
   def get(i: Int): Long = parts(i / partSize).get(i % partSize)
 }
 
@@ -107,7 +111,6 @@ final class DeltaVarCodec(val tau: Double = 0.1) extends IntCodec {
 
 final class DeltaVarCompressed(val n: Int, val starts: Array[Int], val parts: Array[DeltaPartition])
     extends VariablePartitions {
-  override def modelBytes: Long = parts.length.toLong * Codec.SimpleHeaderBytes
   def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
 }
 

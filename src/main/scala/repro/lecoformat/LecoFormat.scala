@@ -4,7 +4,7 @@ import java.io.{DataInputStream, DataOutputStream, BufferedInputStream, Buffered
 import java.nio.{BufferUnderflowException, ByteBuffer}
 import com.github.luben.zstd.{Zstd, ZstdException}
 import repro.core._
-import repro.core.baseline.{DictCodec, ForCodec, ForCompressed}
+import repro.core.baseline.{DictCodec, ForCodec}
 
 /** Column-chunk encodings supported by the columnar format (§5.1):
   * `Default` = dictionary with plain fallback (Parquet's default), `For`,
@@ -15,7 +15,7 @@ sealed abstract class Encoding(val tag: Int, val compress: (Array[Long], Int) =>
                                val read: ByteBuffer => ByteLayout)
 object Encoding {
   case object Default extends Encoding(0, (v, _) => DictCodec.compress(v), DictCodec.read)
-  case object For     extends Encoding(1, (v, size) => new ForCodec(size).compress(v), ForCompressed.read)
+  case object For     extends Encoding(1, (v, size) => new ForCodec(size).compress(v), LecoFixCompressed.read)
   case object LecoFix extends Encoding(2, (v, size) => new LecoFixCodec(size).compress(v), LecoFixCompressed.read)
   def of(tag: Int): Encoding = Seq(Default, For, LecoFix).find(_.tag == tag)
     .getOrElse(throw new IllegalArgumentException(s"unknown encoding tag $tag"))

@@ -10,8 +10,8 @@ class BitPackSpec extends AnyFunSuite {
   test("bitsFor(255) == 8") { assert(BitPack.bitsFor(255) == 8) }
   test("bitsFor(256) == 9") { assert(BitPack.bitsFor(256) == 9) }
   test("bitsFor(Long.MaxValue) == 63") { assert(BitPack.bitsFor(Long.MaxValue) == 63) }
-  test("bitsFor rejects negatives") {
-    intercept[IllegalArgumentException](BitPack.bitsFor(-1))
+  test("bitsFor reads a negative value as unsigned") {
+    assert(BitPack.bitsFor(-1) == 64 && BitPack.bitsFor(Long.MinValue) == 64)
   }
 
   test("wordsFor exact boundaries") {

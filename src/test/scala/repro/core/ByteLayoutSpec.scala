@@ -1,24 +1,24 @@
 package repro.core
 
 import java.nio.ByteBuffer
-import scala.util.{Failure, Success, Try}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalatest.Assertions
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.baseline._
+import repro.lecoformat.{ChunkCodec, Encoding, RangePredicate}
 
-/** Property tests of the codecs' byte layouts: the bytes `writeTo` writes
-  * read back into the same representation, and `sizeBytes` is their length.
-  * Inputs span the whole signed range; a codec that rejects an input at
-  * `compress` is vacuously fine on it.
+/** Property tests of the codecs over inputs that span the whole signed
+  * range: each codec and each `leco` chunk encoding returns its input
+  * exactly, and the bytes `writeTo` writes read back into the same
+  * representation, with `sizeBytes` their length. No input is rejected.
   */
 class ByteLayoutSpec extends AnyFunSuite {
   import ByteLayoutSpec._
 
   private val codecs: Seq[(String, Array[Long] => ByteLayout, ByteBuffer => CompressedInts)] = Seq(
-    ("FOR", new ForCodec(PartSize).compress(_), ForCompressed.read),
+    ("FOR", new ForCodec(PartSize).compress(_), LecoFixCompressed.read),
     ("Delta-fix", new DeltaFixCodec(PartSize).compress(_), DeltaFixCompressed.read),
     ("Delta-var", new DeltaVarCodec(0.1).compress(_), DeltaVarCompressed.read),
     ("LeCo-fix", new LecoFixCodec(PartSize).compress(_), LecoFixCompressed.read),
@@ -29,18 +29,32 @@ class ByteLayoutSpec extends AnyFunSuite {
   for ((name, compress, read) <- codecs)
     test(s"$name: its bytes read back into the in-memory form, sizeBytes is their length") {
       check(Prop.forAll(values) { vals =>
-        Try(compress(vals)) match {
-          case Failure(_: IllegalArgumentException) => true
-          case Failure(e) => throw e
-          case Success(c) =>
-            val bytes = c.toBytes
-            val buf   = ByteBuffer.wrap(bytes)
-            val back  = read(buf)
-            bytes.length == c.sizeBytes && !buf.hasRemaining && sameAs(back, c) &&
-              back.asInstanceOf[ByteLayout].toBytes.sameElements(bytes)
-        }
+        val c     = compress(vals)
+        val bytes = c.toBytes
+        val buf   = ByteBuffer.wrap(bytes)
+        val back  = read(buf)
+        bytes.length == c.sizeBytes && !buf.hasRemaining && sameAs(back, c) &&
+          back.asInstanceOf[ByteLayout].toBytes.sameElements(bytes)
       })
     }
+
+  /** Every codec, and every encoding through a `leco` chunk with zstd off and on. */
+  private val oracles: Seq[(String, Array[Long] => CompressedInts)] =
+    codecs.map { case (name, compress, _) => name -> compress } ++
+      (for (enc <- Seq(Encoding.Default, Encoding.For, Encoding.LecoFix); zstd <- Seq(false, true))
+        yield s"$enc chunk (zstd=$zstd)" -> ((vals: Array[Long]) => ChunkCodec.decode(ChunkCodec.encode(vals, enc, PartSize, zstd))))
+
+  for ((name, compress) <- oracles)
+    test(s"$name: decompressAll, get and scan return the input") {
+      check(Prop.forAll(values.flatMap(vs => rangeIn(vs).map(vs -> _))) { case (vals, pred) =>
+        returnsInput(compress(vals), vals, pred)
+      })
+    }
+
+  test("every codec returns 2 3 2 7 0 8 4 4 3 5 6, where folding δmin into a Double θ0 moved a prediction by one") {
+    val vals = Array[Long](2, 3, 2, 7, 0, 8, 4, 4, 3, 5, 6)
+    for ((name, compress) <- oracles) assert(returnsInput(compress(vals), vals, RangePredicate(3, 6)), name)
+  }
 }
 
 object ByteLayoutSpec {
@@ -66,6 +80,19 @@ object ByteLayoutSpec {
       .map(runs => Array.tabulate(n)(i => if (i < runs.length) runs(i) else Long.MaxValue))
     Gen.oneOf(arrayOf(n, Gen.long), smooth, extremes, arrayOf(n, Gen.choose(-100L, 100L)))
   }
+
+  /** `[a, b]` with each bound an input value or any value. */
+  def rangeIn(vals: Array[Long]): Gen[RangePredicate] = {
+    val bound = if (vals.isEmpty) Gen.long else Gen.oneOf(Gen.long, Gen.oneOf(vals.toIndexedSeq))
+    Gen.zip(bound, bound).map { case (a, b) => RangePredicate(math.min(a, b), math.max(a, b)) }
+  }
+
+  /** `c` decodes to `vals`, `get` returns each of them, and `scan(pred)`
+    * finds the positions a test of every value finds.
+    */
+  def returnsInput(c: CompressedInts, vals: Array[Long], pred: RangePredicate): Boolean =
+    c.n == vals.length && c.decompressAll().sameElements(vals) && vals.indices.forall(i => c.get(i) == vals(i)) &&
+      c.scan(pred).sameElements(vals.indices.filter(i => pred.test(vals(i))))
 
   /** Same length, same `decompressAll`, same `get` at every position. */
   def sameAs(a: CompressedInts, b: CompressedInts): Boolean =

@@ -53,26 +53,26 @@ class GoldenBytesSpec extends AnyFunSuite {
   )) { vs => val c = new DeltaFixCodec().compress(vs); (c.partSize, c) }
 
   pinned("LeCo-fix", Map(
-    "linear"      -> (8192, "7d16f613298aab29d12498858c0745aeeafb3c8062e3afd139a35a2352441b90"),
-    "normal"      -> (256,  "46e15b88f3da5811a8b688b42ff7f2654b4ae2812968c5ad3829d7f4bc02e81a"),
-    "poisson"     -> (512,  "5a66e9608df35b000802e983d97e3068c7586edad420299da5c2d72a5b099a49"),
-    "ml"          -> (96,   "6e46042887233a4497f4fe40fc59c30fbe8a4df4354cc95aba83dbafcee9d66c"),
-    "booksale"    -> (1024, "976d955555fe0c2ba56ebd15996f1ffdfec8a60b270d1f1cc133f54371153cb8"),
-    "facebook"    -> (128,  "88f4138c613d9d319d756882f9c6d6a9b570df33de298c716f5f863ac0587725"),
-    "wiki"        -> (256,  "947c83295942b07d18d771f2068e270db8578a1417670de23136a2827358c6d3"),
-    "movieid"     -> (64,   "c93098aacab562ccd52640d6a79188fa2d037ce1d831a9bc2bf14bbaaaab5625"),
-    "house_price" -> (48,   "f282219ebc9f7ce318b7246c6192bcc4a6f4029b24dfd3f1c2ed00125f277002"),
+    "linear"      -> (8192, "5115429900bf10a8a4a1b6d92049ea1e2158b8504b90539915b0894c42e5a02b"),
+    "normal"      -> (256,  "919564c8041835e1d0043c3a7895968f6a8839b5d2d350d22384c50fd334ef38"),
+    "poisson"     -> (512,  "0078ba14eea59235ba00f1827e41fb1e3092e1f6a83242b45a895c233dbfbe60"),
+    "ml"          -> (96,   "64efb16ea8fea14c725315796d230322cbfa6fef7c131df640c96a3fd9adc20c"),
+    "booksale"    -> (1024, "1e17bbe659e7d2a922973d072e1fce48a0cee4d6d08cc2517e06223ae614d37d"),
+    "facebook"    -> (128,  "9af60510082b5be619dd7dff49274406f1a9879e1b81483fc2194d9c8c16438e"),
+    "wiki"        -> (256,  "4d154fd9060f3457c1cff29316d26bd9c49e6dd40b8facf121f9138c543d208a"),
+    "movieid"     -> (64,   "67421e1748e1df66394151f678010beadf14b035c89bc9b7445a5d8887e0e337"),
+    "house_price" -> (48,   "ff5988815cc27910c306a35e7955be88c08a08943876fdf6b84a947e368c64d4"),
   )) { vs => val c = new LecoFixCodec().compress(vs); (c.partSize, c) }
 
   pinned("LeCo-var", Map(
-    "linear"      -> (1,  "d1c4b4129685bfec5800de2d33b893579167e6c1c41f50fc4af706ca9b1902ba"),
-    "normal"      -> (50, "d88432e97fb46d8285053ff9b3590424b4a2b2e2095994510fd114f9ac937e3b"),
-    "poisson"     -> (22, "52ea9aab094185c994babd8fb7c79ea8edcfd38f912be4e56ae5f09f6feb5aa8"),
-    "ml"          -> (1,  "6f483c41876fa538701878e5d81a7f66d6a49d5b39daf7850e284f51b1c3d94f"),
-    "booksale"    -> (86, "12e2a4aad6cd5a3afdb5de26396b8766321bea18c766949573c2aef04f69f266"),
-    "facebook"    -> (46, "4433682787e63cc435d8b3ac5e4d8880c60e1ba80f5b08309198bddfc5642b8e"),
-    "wiki"        -> (61, "6d05eb4dec6ee5ea64df229a7e107b6be5447184a20ba3e16723968e7791d471"),
-    "movieid"     -> (95, "029b17bc73f2e76b2aa3823b7317041f5b8ff890bd15193513e7d8887554aad7"),
-    "house_price" -> (2,  "bef525666382fe8f85c127064e20f76389504874a1b9e38a7815abb4c5f30cdd"),
+    "linear"      -> (1,  "4950d0760b817d0b46b0eb3f25ab6404828946a15f1e5c3471135b55e5b9e5ca"),
+    "normal"      -> (50, "33433637fcd8ec479980910b5da43976c6f825f150f4b8381e9b2a4fb2ba2465"),
+    "poisson"     -> (22, "33c9078652610e6b5bf60e6db96c8e7610a28ba7c1fb7b85bb1c993e39514cf6"),
+    "ml"          -> (1,  "50b62201d285cd08f3950d002dbc82657e3b9be1f7d84213b9ca9d4433cf7c48"),
+    "booksale"    -> (86, "3e5b33baeafccf99836a7fed2262264e180a530848069dac4cfd4077aef0f2fc"),
+    "facebook"    -> (46, "e323c6a527fe03ebc32d2f9b029352286909c4e6b4c50a18e52bba8f9e08f8d3"),
+    "wiki"        -> (61, "4e9b073a4b1c464e18ffbaf074433ec61a55ca9c5c33aa14cffaaff6ea65b44b"),
+    "movieid"     -> (95, "45121208b8be005a0225561b71ad0d7512b1f5eebcddcaa9d0dfa53d3cecdcb6"),
+    "house_price" -> (2,  "a7de2b99466bd36e530c91a40e1fc8c781e674cf2effdd996923b08220d21fcd"),
   )) { vs => val c = new LecoVarCodec().compress(vs); (c.starts.length, c) }
 }

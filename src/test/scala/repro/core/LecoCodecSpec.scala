@@ -15,7 +15,7 @@ class LecoCodecSpec extends AnyFunSuite {
   }
 
   test("a prediction the folded bias moves by one still gets a delta that fits") {
-    // θ0 + θ1·5 is 2.0 before folding δmin = -1 into θ0 and 0.99999… after
+    // with a Double θ0, θ0 + θ1·5 was 2.0 before folding δmin = -1 into it and 0.99999… after
     val vals = Array[Long](2, 3, 2, 7, 0, 8, 4, 4, 3, 5, 6)
     val p = LecoPartition.encode(vals, 0, vals.length)
     val out = new Array[Long](vals.length)
@@ -24,8 +24,8 @@ class LecoCodecSpec extends AnyFunSuite {
     assert(vals.indices.forall(j => p.get(j) == vals(j)))
   }
 
-  test("accumulation decode equals direct decode (correction list works)") {
-    // long partitions + irrational-ish slope provoke floating point slips
+  test("a long partition with an irrational slope decodes exactly") {
+    // a θ1 accumulation would slip here; decode computes floor(θ1·j) directly
     val vals = Array.tabulate(100_000)(i => (i * math.Pi * 1000).toLong)
     val p = LecoPartition.encode(vals, 0, vals.length)
     val out = new Array[Long](vals.length)
@@ -92,10 +92,12 @@ class LecoCodecSpec extends AnyFunSuite {
     val clean = new LecoFixCodec(256).compress(Array.tabulate(512)(i => 2L * i + 1))
     assert(clean.toBytes.length == clean.sizeBytes)
     assert(clean.modelBytes == 2L * Codec.LinearHeaderBytes)
-    // corrections add their count and positions to the partition's bytes
-    val slipping = new LecoFixCodec(50_000).compress(Array.tabulate(100_000)(i => (i * math.Pi * 1000).toLong))
-    assert(slipping.parts.exists(_.corrections.nonEmpty))
-    assert(slipping.toBytes.length == slipping.sizeBytes)
+    val wide = new LecoFixCodec(50_000).compress(Array.tabulate(100_000)(i => (i * math.Pi * 1000).toLong))
+    assert(wide.toBytes.length == wide.sizeBytes)
+    // FOR's partitions carry no θ1
+    val frames = new baseline.ForCodec(256).compress(Array.tabulate(512)(i => 2L * i + 1))
+    assert(frames.toBytes.length == frames.sizeBytes)
+    assert(frames.modelBytes == 2L * Codec.SimpleHeaderBytes)
   }
 
   test("compression is effective on a nearly linear sequence") {

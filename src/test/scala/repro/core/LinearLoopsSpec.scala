@@ -1,14 +1,12 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-import scala.util.{Failure, Success, Try}
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalatest.Assertions
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The fit, refold and encode loops carry the position as a `Double` counter.
+/** The fit, window and encode loops carry the position as a `Double` counter.
   * These properties check them bit for bit against [[LinearLoopsSpec.IntPosition]],
   * a copy of the same loops written with an `Int` position converted per
   * value, on lengths from 1 to 65,536 and values that are smooth, noisy,
@@ -17,38 +15,19 @@ import org.scalatest.funsuite.AnyFunSuite
 class LinearLoopsSpec extends AnyFunSuite {
   import LinearLoopsSpec._
 
-  private def sameFit(a: Fit, b: Fit): Boolean =
-    bits(a.model.theta0) == bits(b.model.theta0) && bits(a.model.theta1) == bits(b.model.theta1) &&
-      a.bitWidth == b.bitWidth
-
   test("fitLinear and linearDeltaBits have the bits of the Int-position loops") {
     check(Prop.forAllNoShrink(partition) { case Part(vs, from, until) =>
-      val ref = IntPosition.fitLinear(vs, from, until)
-      sameFit(Regressor.fitLinear(vs, from, until), ref) &&
+      val (fit, ref) = (Regressor.fitLinear(vs, from, until), IntPosition.fitLinear(vs, from, until))
+      fit.anchor == ref.anchor && bits(fit.theta1) == bits(ref.theta1) && fit.bitWidth == ref.bitWidth &&
         Regressor.linearDeltaBits(vs, from, until) == ref.bitWidth
-    })
-  }
-
-  test("refit of any line has the bits of the Int-position loop") {
-    val lines = for {
-      p     <- partition
-      shift <- Gen.choose(-1e6, 1e6)
-      tilt  <- Gen.choose(-2.0, 2.0)
-    } yield {
-      val m = IntPosition.fitLinear(p.values, p.from, p.until).model
-      (p, LinearModel(m.theta0 + shift, m.theta1 + tilt))
-    }
-    check(Prop.forAllNoShrink(lines) { case (Part(vs, from, until), m) =>
-      sameOutcome(Regressor.refit(m, vs, from, until), IntPosition.refit(m, vs, from, until))(sameFit)
     })
   }
 
   test("LecoPartition.encode has the theta bits, width, words and corrections of the Int-position loop") {
     check(Prop.forAllNoShrink(partition) { case Part(vs, from, until) =>
-      sameOutcome(LecoPartition.encode(vs, from, until), IntPosition.encode(vs, from, until)) { (a, b) =>
-        bits(a.theta0) == bits(b.theta0) && bits(a.theta1) == bits(b.theta1) && a.width == b.width &&
-          a.len == b.len && a.words.sameElements(b.words) && a.corrections.sameElements(b.corrections)
-      }
+      val (a, b) = (LecoPartition.encode(vs, from, until), IntPosition.encode(vs, from, until))
+      a.anchor == b.anchor && bits(a.theta1) == bits(b.theta1) && a.linear && a.width == b.width &&
+        a.len == b.len && a.words.sameElements(b.words) && a.corrections.isEmpty
     })
   }
 
@@ -64,13 +43,6 @@ class LinearLoopsSpec extends AnyFunSuite {
 
 object LinearLoopsSpec {
   def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
-
-  /** Both return results that are `same`, or both throw the same message. */
-  def sameOutcome[A](a: => A, b: => A)(same: (A, A) => Boolean): Boolean = (Try(a), Try(b)) match {
-    case (Success(x), Success(y)) => same(x, y)
-    case (Failure(x), Failure(y)) => x.getClass == y.getClass && x.getMessage == y.getMessage
-    case (x, y) => throw new AssertionError(s"outcomes differ: $x vs $y")
-  }
 
   /** `values(from until until)`: the partition, after 0–3 values of padding. */
   final case class Part(values: Array[Long], from: Int, until: Int) {
@@ -99,21 +71,18 @@ object LinearLoopsSpec {
     Part(vs, pad, pad + n)
   }
 
-  /** Checks without shrinking: a shrunk partition size of 0 would never end
-    * `fixedCost`, and the counterexample's generator values say enough.
-    */
+  /** Checks without shrinking: the counterexample's generator values say enough. */
   def check(prop: Prop): Unit = {
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(150).withInitialSeed(Seed(7L)), prop)
     Assertions.assert(res.passed, Pretty.pretty(res))
   }
 
-  /** The fit, refold and encode loops with the position as an `Int` that is
-    * converted to a `Double` at every value and θ read through the model.
+  /** The fit, window and encode loops with the position as an `Int` that is
+    * converted to a `Double` at every value.
     */
   object IntPosition {
     def fitLinear(values: Array[Long], from: Int, until: Int): Fit = {
       val n = until - from
-      if (n == 1) return Fit(LinearModel(values(from).toDouble, 0.0), 0)
       val sumX  = n.toDouble * (n - 1) / 2.0
       val sumXX = (n - 1).toDouble * n * (2L * n - 1) / 6.0
       var sumY  = 0.0
@@ -126,48 +95,27 @@ object LinearLoopsSpec {
       }
       val denom  = n * sumXX - sumX * sumX
       val theta1 = if (denom == 0) 0.0 else (n * sumXY - sumX * sumY) / denom
-      val theta0 = (sumY - theta1 * sumX) / n
-      refit(LinearModel(theta0, theta1), values, from, until)
-    }
-
-    def refit(m: LinearModel, values: Array[Long], from: Int, until: Int): Fit = {
       var dMin = Long.MaxValue; var dMax = Long.MinValue
-      var i = from
-      while (i < until) {
-        val d = values(i) - m.predict(i - from)
+      i = 0
+      while (i < n) {
+        val d = values(from + i) - math.floor(theta1 * i).toLong
         if (d < dMin) dMin = d
         if (d > dMax) dMax = d
         i += 1
       }
-      Fit(LinearModel(m.theta0 + dMin, m.theta1), BitPack.bitsFor(dMax - dMin))
+      Fit(dMin, theta1, BitPack.bitsFor(dMax - dMin))
     }
 
-    def encode(values: Array[Long], from: Int, until: Int): LecoPartition =
-      encodeFit(fitLinear(values, from, until), values, from, until, refits = 3)
-
-    private def encodeFit(fit: Fit, values: Array[Long], from: Int, until: Int, refits: Int): LecoPartition = {
-      val m        = fit.model
-      val n        = until - from
-      val maxDelta = if (fit.bitWidth >= 63) Long.MaxValue else (1L << fit.bitWidth) - 1
-      val words    = new Array[Long](BitPack.wordsFor(n, fit.bitWidth))
-      val corr     = ArrayBuffer[Int]()
-      var acc      = m.theta0
-      var fits     = true
+    def encode(values: Array[Long], from: Int, until: Int): LecoPartition = {
+      val fit   = fitLinear(values, from, until)
+      val n     = until - from
+      val words = new Array[Long](BitPack.wordsFor(n, fit.bitWidth))
       var j = 0
-      while (j < n && fits) {
-        val direct = m.predict(j)
-        if (math.floor(acc).toLong != direct) { corr += j; acc = m.theta0 + m.theta1 * j }
-        val delta = values(from + j) - direct
-        fits = delta >= 0 && delta <= maxDelta
-        if (fits) BitPack.write(words, j.toLong * fit.bitWidth, fit.bitWidth, delta)
-        acc += m.theta1
+      while (j < n) {
+        BitPack.write(words, j.toLong * fit.bitWidth, fit.bitWidth, values(from + j) - fit.predict(j))
         j += 1
       }
-      if (fits) LecoPartition(m.theta0, m.theta1, fit.bitWidth, n, words, corr.toArray)
-      else {
-        require(refits > 0, s"no linear model encodes values($from until $until) exactly")
-        encodeFit(refit(m, values, from, until), values, from, until, refits - 1)
-      }
+      LecoPartition(fit.anchor, fit.theta1, linear = true, fit.bitWidth, n, words)
     }
   }
 }

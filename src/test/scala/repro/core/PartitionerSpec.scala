@@ -1,8 +1,13 @@
 package repro.core
 
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
+import org.scalatest.concurrent.{ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
+import repro.core.baseline.{DeltaFixCodec, ForCodec}
 
-class PartitionerSpec extends AnyFunSuite {
+class PartitionerSpec extends AnyFunSuite with TimeLimits {
   import Partitioner._
 
   private def checkPartitions(ps: Partitions): Unit = {
@@ -91,6 +96,17 @@ class PartitionerSpec extends AnyFunSuite {
     }
     val best = searchFixedSize(vals, LecoFixCodec.costAt)
     assert(best <= 1024, s"got $best")
+  }
+
+  test("costAt at partition size 0 throws instead of spinning") {
+    val sample = Array.tabulate(100)(_.toLong)
+    val costs = Seq[(Array[Long], Int) => Long](LecoFixCodec.costAt, ForCodec.costAt, DeltaFixCodec.costAt)
+    // a call that spins is left on a daemon thread; the wait for it times out
+    failAfter(10.seconds) {
+      Await.result(Future(costs.foreach(cost => intercept[IllegalArgumentException](cost(sample, 0))))(ExecutionContext.global),
+                   Duration.Inf)
+    }(ThreadSignaler)
+    intercept[IllegalArgumentException](encodeFixed(sample, 0)(LecoPartition.encode))
   }
 
   test("sampleOf returns everything when input is small") {

@@ -5,19 +5,19 @@ import org.scalatest.funsuite.AnyFunSuite
 class RegressorSpec extends AnyFunSuite {
 
   private def deltas(values: Array[Long], fit: Fit): Array[Long] =
-    Array.tabulate(values.length)(i => values(i) - fit.model.predict(i))
+    Array.tabulate(values.length)(i => values(i) - fit.predict(i))
 
   test("single value fits exactly with width 0") {
     val fit = Regressor.fitLinear(Array(42L), 0, 1)
     assert(fit.bitWidth == 0)
-    assert(fit.model.predict(0) == 42L)
+    assert(fit.predict(0) == 42L)
   }
 
   test("perfect arithmetic progression needs width 0") {
     val vals = Array.tabulate(100)(i => 10L + 7L * i)
     val fit = Regressor.fitLinear(vals, 0, vals.length)
     assert(fit.bitWidth == 0, s"got width ${fit.bitWidth}")
-    vals.indices.foreach(i => assert(fit.model.predict(i) == vals(i)))
+    vals.indices.foreach(i => assert(fit.predict(i) == vals(i)))
   }
 
   test("constant sequence needs width 0 under linear fit") {
@@ -63,19 +63,19 @@ class RegressorSpec extends AnyFunSuite {
     val vals = Array(1000L, -5L, 0L, 5L, 10L, 15L, 99999L)
     val fit = Regressor.fitLinear(vals, 1, 6)
     assert(fit.bitWidth == 0) // interior is a clean progression
-    (1 until 6).foreach(i => assert(fit.model.predict(i - 1) == vals(i)))
+    (1 until 6).foreach(i => assert(fit.predict(i - 1) == vals(i)))
   }
 
-  test("fitConstant matches FOR semantics") {
+  test("the constant model (FOR) is anchored at the minimum") {
     val vals = Array(17L, 3L, 9L, 30L)
-    val fit = Regressor.fitConstant(vals, 0, 4)
-    assert(fit.model.theta0 == 3.0)
-    assert(fit.model.theta1 == 0.0)
-    assert(fit.bitWidth == BitPack.bitsFor(27))
+    val p = LecoPartition.encodeConstant(vals, 0, 4)
+    assert(p.anchor == 3L)
+    assert(p.theta1 == 0.0)
+    assert(p.width == BitPack.bitsFor(27))
   }
 
-  test("fitConstant on identical values has width 0 (RLE special case)") {
-    assert(Regressor.fitConstant(Array.fill(20)(5L), 0, 20).bitWidth == 0)
+  test("the constant model on identical values has width 0 (RLE special case)") {
+    assert(LecoPartition.encodeConstant(Array.fill(20)(5L), 0, 20).width == 0)
   }
 
   test("linear fit never worse than constant fit (width)") {
@@ -83,7 +83,7 @@ class RegressorSpec extends AnyFunSuite {
     for (trial <- 1 to 30) {
       val vals = Array.tabulate(64)(i => trial.toLong * i + r.nextInt(1 << (trial % 16 + 1)))
       val lin = Regressor.fitLinear(vals, 0, vals.length).bitWidth
-      val con = Regressor.fitConstant(vals, 0, vals.length).bitWidth
+      val con = LecoPartition.encodeConstant(vals, 0, vals.length).width
       // the LSM slope optimizes l2, not max-width: allow one bit of slack
       assert(lin <= con + 1, s"trial $trial: linear $lin > constant $con + 1")
     }
@@ -93,7 +93,7 @@ class RegressorSpec extends AnyFunSuite {
     val vals = Array.tabulate(100)(i => 100000L - 13L * i)
     val fit = Regressor.fitLinear(vals, 0, vals.length)
     assert(fit.bitWidth == 0)
-    assert(fit.model.theta1 < 0)
+    assert(fit.theta1 < 0)
   }
 
   test("negative values are handled") {
@@ -115,7 +115,7 @@ class RegressorSpec extends AnyFunSuite {
   test("two-point fit is exact") {
     val fit = Regressor.fitLinear(Array(10L, 20L), 0, 2)
     assert(fit.bitWidth == 0)
-    assert(fit.model.predict(0) == 10L)
-    assert(fit.model.predict(1) == 20L)
+    assert(fit.predict(0) == 10L)
+    assert(fit.predict(1) == 20L)
   }
 }

@@ -68,18 +68,21 @@ object LecoReaderSpec {
         s"filters=${filters.mkString(", ")} predicates=${predicates.mkString(", ")} columns=$columns"
   }
 
-  /** Almost-sorted `ts`, random `id` and low-cardinality `grp`, within
-    * ±2^36. Random values near ±2^40 would trip a known LeCo-fix defect,
-    * about 4 wrong values per million: `Regressor.refit` folds the minimum
-    * delta into a `Double` θ0 inexactly. That is the codec's fault, not the
-    * reader's, and this property is about the reader.
+  /** Almost-sorted `ts` (wrapping past `Long.MaxValue`), random `id` over
+    * the full signed range with `Long.MinValue` and `Long.MaxValue` mixed in,
+    * and low-cardinality `grp`.
     */
   private def table(rows: Seq[Int], seed: Long): Seq[Array[Array[Long]]] = {
     val r = new scala.util.Random(seed)
-    var t = r.nextLong() % (1L << 36)
+    var t = r.nextLong()
     rows.map { n =>
       val ts = Array.fill(n) { t += r.nextInt(5); t }
-      Array(ts, Array.fill(n)(r.nextLong() % (1L << 36)), Array.fill(n)(r.nextInt(10).toLong))
+      val id = Array.fill(n)(r.nextInt(20) match {
+        case 0 => Long.MinValue
+        case 1 => Long.MaxValue
+        case _ => r.nextLong()
+      })
+      Array(ts, id, Array.fill(n)(r.nextInt(10).toLong))
     }
   }
 
