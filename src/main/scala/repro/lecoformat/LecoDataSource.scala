@@ -2,10 +2,11 @@ package repro.lecoformat
 
 import java.util
 import scala.jdk.CollectionConverters._
-import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
+import org.apache.spark.sql.connector.catalog.{SupportsRead, SupportsWrite, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.{Expression, Expressions, GeneralScalarExpression, Literal, NamedReference, Transform}
 import org.apache.spark.sql.connector.expressions.filter.{And, Predicate}
 import org.apache.spark.sql.connector.read._
+import org.apache.spark.sql.connector.write.{LogicalWriteInfo, WriteBuilder}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.sources
 import org.apache.spark.sql.sources._
@@ -14,8 +15,9 @@ import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.sql.vectorized.{ColumnVector, ColumnarArray, ColumnarBatch, ColumnarMap}
 import org.apache.spark.unsafe.types.UTF8String
 
-/** DataSourceV2 read path for `leco` table directories (short name "leco"):
-  * `spark.read.format("leco").load(dir)`.
+/** DataSourceV2 read and write paths for `leco` table directories (short
+  * name "leco"): `spark.read.format("leco").load(dir)` and
+  * `df.write.format("leco").mode("overwrite").save(dir)` (see [[LecoWriter]]).
   *
   * Supports column pruning and V2 predicate pushdown. Pushed ranges and
   * `col % m` windows are used for row-group zone-map skipping, encoding-level
@@ -40,17 +42,38 @@ class LecoDataSource extends TableProvider with DataSourceRegister {
     StructType(cols.map(c => StructField(c, LongType, nullable = false)))
   }
 
+  /** A write passes its input's schema, so that saving to a new directory
+    * infers nothing.
+    */
+  override def supportsExternalMetadata(): Boolean = true
+
+  /** Every column of the table is a BIGINT, and Spark casts integral input
+    * columns up to it before a writer sees them. Any other type is rejected
+    * here, as its cast to a long would not be exact. A written column keeps
+    * its nullability, so that a null reaches the writer, which names its
+    * column.
+    */
   override def getTable(schema: StructType, partitioning: Array[Transform],
-                        properties: util.Map[String, String]): Table =
-    new LecoSparkTable(properties.get("path"), schema)
+                        properties: util.Map[String, String]): Table = {
+    val longs = schema.fields.map {
+      case f @ StructField(_, ByteType | ShortType | IntegerType | LongType, _, _) => f.copy(dataType = LongType)
+      case f => throw new IllegalArgumentException(
+        s"leco column `${f.name}` has type ${f.dataType.sql}: a leco table stores integral columns only")
+    }
+    new LecoSparkTable(properties.get("path"), StructType(longs))
+  }
 }
 
-final class LecoSparkTable(path: String, schema: StructType) extends Table with SupportsRead {
+final class LecoSparkTable(path: String, schema: StructType) extends Table with SupportsRead with SupportsWrite {
   override def name(): String = s"leco:$path"
   override def schema(): StructType = schema
-  override def capabilities(): util.Set[TableCapability] = Set(TableCapability.BATCH_READ).asJava
+  override def capabilities(): util.Set[TableCapability] = {
+    import TableCapability._
+    Set(BATCH_READ, BATCH_WRITE, TRUNCATE).asJava
+  }
   override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder =
     new LecoScanBuilder(path, schema)
+  override def newWriteBuilder(info: LogicalWriteInfo): WriteBuilder = new LecoBatchWrite(path, info)
 }
 
 final class LecoScanBuilder(path: String, schema: StructType)

@@ -1,6 +1,6 @@
 package repro.lecoformat
 
-import java.io.{DataInputStream, DataOutputStream, BufferedInputStream, BufferedOutputStream, FileInputStream, FileOutputStream, File}
+import java.io.{DataInputStream, DataOutputStream, BufferedInputStream, BufferedOutputStream, EOFException, FileInputStream, FileOutputStream, File, UTFDataFormatException}
 import java.nio.{BufferUnderflowException, ByteBuffer}
 import com.github.luben.zstd.{Zstd, ZstdException}
 import repro.core._
@@ -17,8 +17,12 @@ object Encoding {
   case object Default extends Encoding(0, (v, _) => DictCodec.compress(v), DictCodec.read)
   case object For     extends Encoding(1, (v, size) => new ForCodec(size).compress(v), LecoFixCompressed.read)
   case object LecoFix extends Encoding(2, (v, size) => new LecoFixCodec(size).compress(v), LecoFixCompressed.read)
-  def of(tag: Int): Encoding = Seq(Default, For, LecoFix).find(_.tag == tag)
+  private val all = Seq(Default, For, LecoFix)
+  def of(tag: Int): Encoding = all.find(_.tag == tag)
     .getOrElse(throw new IllegalArgumentException(s"unknown encoding tag $tag"))
+  /** The encoding whose name is `name`, ignoring case: `Default`, `For` or `LecoFix`. */
+  def named(name: String): Encoding = all.find(_.toString.equalsIgnoreCase(name))
+    .getOrElse(throw new IllegalArgumentException(s"unknown encoding $name (one of ${all.mkString(", ")})"))
 }
 
 /** `a <= v <= b`. */
@@ -116,78 +120,103 @@ object ChunkCodec {
     }
 }
 
-/** Part-file writer: `LECO1 | nCols | colNames | rowGroups* | footer`.
-  * One instance per task/file; feed rows column-wise per row group.
+/** Part-file writer: `LECO1 | nCols | colNames | rowGroups* | -1`, where a
+  * row group is its row count and, per column, `min | max | chunkLen | chunk`.
+  * One instance per task/file. Rows fill one `Array[Long]` per column, which
+  * grows up to `rowGroupRows` and is encoded as it is once the group is full.
   */
 final class LecoFileWriter(file: File, columns: Seq[String], encoding: Encoding,
                            partSize: Int, zstd: Boolean, rowGroupRows: Int) {
+  require(rowGroupRows > 0, s"rowGroupRows $rowGroupRows is not positive")
   private val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(file), 1 << 16))
-  private val buffers = Array.fill(columns.size)(new scala.collection.mutable.ArrayBuffer[Long](rowGroupRows))
-  private var rowGroupCount = 0
+  // A small table never allocates a whole row group per column.
+  private var capacity = math.min(rowGroupRows, 4096)
+  private val buffers = Array.fill(columns.size)(new Array[Long](capacity))
+  private var rows = 0
   out.writeBytes("LECO1")
   out.writeInt(columns.size)
   columns.foreach(out.writeUTF)
 
   def addRow(values: Array[Long]): Unit = {
+    if (rows == capacity) grow()
     var c = 0
-    while (c < values.length) { buffers(c) += values(c); c += 1 }
-    if (buffers(0).length >= rowGroupRows) flushGroup()
+    while (c < buffers.length) { buffers(c)(rows) = values(c); c += 1 }
+    rows += 1
+    if (rows == rowGroupRows) flushGroup()
   }
 
-  private def flushGroup(): Unit = {
-    if (buffers(0).isEmpty) return
-    out.writeInt(buffers(0).length)
+  private def grow(): Unit = {
+    capacity = math.min(rowGroupRows.toLong, 2L * capacity).toInt
+    var c = 0
+    while (c < buffers.length) { buffers(c) = java.util.Arrays.copyOf(buffers(c), capacity); c += 1 }
+  }
+
+  private def flushGroup(): Unit = if (rows > 0) {
+    out.writeInt(rows)
     var c = 0
     while (c < buffers.length) {
-      val vals = buffers(c).toArray
+      val vals = if (rows == capacity) buffers(c) else java.util.Arrays.copyOf(buffers(c), rows)
       var mn = Long.MaxValue; var mx = Long.MinValue
-      vals.foreach { v => if (v < mn) mn = v; if (v > mx) mx = v }
+      var i = 0
+      while (i < rows) { val v = vals(i); if (v < mn) mn = v; if (v > mx) mx = v; i += 1 }
       val bytes = ChunkCodec.encode(vals, encoding, partSize, zstd)
       out.writeLong(mn); out.writeLong(mx); out.writeInt(bytes.length)
       out.write(bytes)
-      buffers(c).clear()
       c += 1
     }
-    rowGroupCount += 1
+    rows = 0
   }
 
   def close(): Unit = { flushGroup(); out.writeInt(-1); out.flush(); out.close() }
+
+  /** Closes the file and deletes it, for a write that failed part way. */
+  def abort(): Unit = try out.close() finally file.delete()
 }
 
 /** Reader over one part file (loads chunk bytes lazily per row group).
   * `bytesRead` counts the chunk bytes actually fetched — the benches charge
   * modeled cold-read I/O on it (the OS page cache hides real I/O at our
-  * scale; see DESIGN.md hardware substitutions).
+  * scale; see DESIGN.md hardware substitutions). A file that is not a whole
+  * part file fails with an `IllegalStateException` that names it.
   */
 final class LecoFileReader(file: File) {
   var bytesRead: Long = 0L
 
   val (columns, groups): (Array[String], Array[(Int, Array[Long], Array[Long], Array[Long], Array[Int])]) = {
     val in = new DataInputStream(new BufferedInputStream(new FileInputStream(file), 1 << 16))
-    val magic = new Array[Byte](5); in.readFully(magic)
-    require(new String(magic) == "LECO1", s"bad magic in $file")
-    val nCols = in.readInt
-    val cols = Array.fill(nCols)(in.readUTF)
-    var offset = 5L + 4 + cols.map(c => 2 + c.getBytes("UTF-8").length).sum
-    val gs = scala.collection.mutable.ArrayBuffer[(Int, Array[Long], Array[Long], Array[Long], Array[Int])]()
-    var nRows = in.readInt; offset += 4
-    while (nRows != -1) {
-      val mins = new Array[Long](nCols); val maxs = new Array[Long](nCols)
-      val offs = new Array[Long](nCols); val lens = new Array[Int](nCols)
-      var c = 0
-      while (c < nCols) {
-        mins(c) = in.readLong; maxs(c) = in.readLong
-        val len = in.readInt
-        offset += 20
-        offs(c) = offset; lens(c) = len
-        in.skipNBytes(len); offset += len
-        c += 1
+    try {
+      val magic = new Array[Byte](5); in.readFully(magic)
+      require(new String(magic) == "LECO1", "bad magic")
+      val nCols = in.readInt
+      // each name takes at least its 2-byte length
+      require(nCols >= 0 && nCols <= (file.length - 9) / 2, s"$nCols columns cannot fit in ${file.length} bytes")
+      val cols = Array.fill(nCols)(in.readUTF)
+      var offset = 5L + 4 + cols.map(c => 2 + c.getBytes("UTF-8").length).sum
+      val gs = Array.newBuilder[(Int, Array[Long], Array[Long], Array[Long], Array[Int])]
+      var nRows = in.readInt; offset += 4
+      while (nRows != -1) {
+        require(nRows > 0, s"a row group of $nRows rows")
+        val mins = new Array[Long](nCols); val maxs = new Array[Long](nCols)
+        val offs = new Array[Long](nCols); val lens = new Array[Int](nCols)
+        var c = 0
+        while (c < nCols) {
+          mins(c) = in.readLong; maxs(c) = in.readLong
+          val len = in.readInt
+          require(len >= 0, s"a chunk of $len bytes")
+          offset += 20
+          offs(c) = offset; lens(c) = len
+          in.skipNBytes(len); offset += len
+          c += 1
+        }
+        gs += ((nRows, mins, maxs, offs, lens))
+        nRows = in.readInt; offset += 4
       }
-      gs += ((nRows, mins, maxs, offs, lens))
-      nRows = in.readInt; offset += 4
-    }
-    in.close()
-    (cols, gs.toArray)
+      (cols, gs.result())
+    } catch {
+      case e @ (_: EOFException | _: UTFDataFormatException | _: IllegalArgumentException) =>
+        val what = if (e.isInstanceOf[EOFException]) "truncated" else e.getMessage.stripPrefix("requirement failed: ")
+        throw new IllegalStateException(s"corrupt leco file $file: $what", e)
+    } finally in.close()
   }
 
   def colIndex(name: String): Int = {

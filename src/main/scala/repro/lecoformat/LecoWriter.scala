@@ -1,37 +1,122 @@
 package repro.lecoformat
 
 import java.io.File
+import java.nio.file.{Files, Paths, StandardCopyOption}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.TaskContext
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.connector.write._
+import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
-/** Writes a DataFrame of integer-typed columns to a `leco` table directory,
-  * one part file per Spark partition — the encode runs inside executor
-  * tasks, per column chunk, matching the repro target of applying LeCo
-  * during columnar encode in the executors.
+/** Writes a DataFrame to a `leco` table directory, one part file per Spark
+  * partition, through the DataSourceV2 write path: the encode runs inside
+  * executor tasks, per column chunk, matching the repro target of applying
+  * LeCo during columnar encode in the executors.
   */
 object LecoWriter {
 
-  /** All columns must be integral (or date/timestamp-like castable to long). */
+  /** Replaces the table at `dir`. Every column must be castable to BIGINT
+    * (integral, date or timestamp).
+    */
   def write(df: DataFrame, dir: String, encoding: Encoding,
-            partSize: Int = 1024, zstd: Boolean = false,
-            rowGroupRows: Int = 1 << 20): Unit = {
+            partSize: Int = LecoWriteOptions.Defaults.partSize, zstd: Boolean = LecoWriteOptions.Defaults.zstd,
+            rowGroupRows: Int = LecoWriteOptions.Defaults.rowGroupRows): Unit =
+    df.selectExpr(df.columns.toSeq.map(c => s"CAST(`$c` AS BIGINT) AS `$c`"): _*)
+      .write.format("leco").mode("overwrite")
+      .option("encoding", encoding.toString).option("partSize", partSize)
+      .option("zstd", zstd).option("rowGroupRows", rowGroupRows)
+      .save(dir)
+}
+
+/** The write options of `df.write.format("leco")`: `encoding` (`Default`,
+  * `For` or `LecoFix`), `partSize`, `zstd` and `rowGroupRows`.
+  */
+final case class LecoWriteOptions(encoding: Encoding, partSize: Int, zstd: Boolean, rowGroupRows: Int) {
+  require(partSize > 0, s"partSize $partSize is not positive")
+  require(rowGroupRows > 0, s"rowGroupRows $rowGroupRows is not positive")
+}
+object LecoWriteOptions {
+  val Defaults = LecoWriteOptions(Encoding.LecoFix, partSize = 1024, zstd = false, rowGroupRows = 1 << 20)
+
+  def apply(o: CaseInsensitiveStringMap): LecoWriteOptions = LecoWriteOptions(
+    Encoding.named(o.getOrDefault("encoding", Defaults.encoding.toString)), o.getInt("partSize", Defaults.partSize),
+    o.getBoolean("zstd", Defaults.zstd), o.getInt("rowGroupRows", Defaults.rowGroupRows))
+}
+
+/** One job that writes `part-<partition>.leco` per input partition; its own
+  * write builder. `mode("overwrite")` truncates the table, and
+  * `mode("append")` writes only into a directory that holds no part file.
+  * Each task writes a hidden file, which no reader lists, and the job's
+  * commit renames them all to their part names. So a failed job, even one
+  * whose tasks are still running after it failed, leaves no part file
+  * behind: a failed task deletes its own file, and a failed job the
+  * committed ones.
+  */
+final class LecoBatchWrite(dir: String, info: LogicalWriteInfo)
+    extends SupportsTruncate with Write with BatchWrite {
+  private val options = LecoWriteOptions(info.options)
+  private var truncating = false
+  override def truncate(): WriteBuilder = { truncating = true; this }
+  override def build(): Write = this
+  override def toBatch: BatchWrite = this
+
+  /** Runs on the driver before any task: clears the table's part files, and
+    * only those, or refuses to append to a table that has some.
+    */
+  override def createBatchWriterFactory(physical: PhysicalWriteInfo): DataWriterFactory = {
     val out = new File(dir)
-    if (out.exists()) {
-      out.listFiles().foreach(_.delete())
-    } else require(out.mkdirs(), s"cannot create $dir")
-    val cols = df.columns.toSeq
-    val longDf = df.selectExpr(cols.map(c => s"CAST(`$c` AS BIGINT) AS `$c`"): _*)
-    longDf.foreachPartition { (rows: Iterator[org.apache.spark.sql.Row]) =>
-      val pid = TaskContext.getPartitionId()
-      val f = new File(dir, f"part-$pid%05d.leco")
-      val w = new LecoFileWriter(f, cols, encoding, partSize, zstd, rowGroupRows)
-      val buf = new Array[Long](cols.size)
-      rows.foreach { r =>
-        var c = 0
-        while (c < buf.length) { buf(c) = r.getLong(c); c += 1 }
-        w.addRow(buf)
-      }
-      w.close()
-    }
+    require(out.isDirectory || out.mkdirs(), s"cannot create $dir")
+    val existing = LecoTable.partFiles(dir)
+    if (truncating) existing.foreach(f => require(f.delete(), s"cannot delete $f"))
+    else if (existing.nonEmpty)
+      throw new UnsupportedOperationException(
+        s"cannot append to the leco table $dir: it has ${existing.length} part files, and a leco table " +
+          "is written whole; write it with mode(\"overwrite\")")
+    LecoDataWriterFactory(dir, info.schema.fieldNames, options)
   }
+
+  override def commit(messages: Array[WriterCommitMessage]): Unit =
+    messages.foreach { case LecoCommitMessage(written, part) =>
+      Files.move(Paths.get(written), Paths.get(part), StandardCopyOption.ATOMIC_MOVE)
+    }
+
+  override def abort(messages: Array[WriterCommitMessage]): Unit =
+    messages.foreach {
+      case LecoCommitMessage(written, part) => new File(written).delete(); new File(part).delete()
+      case _                                => // a task that did not commit
+    }
+}
+
+/** A task's file, `written`, and the part file it becomes. */
+final case class LecoCommitMessage(written: String, part: String) extends WriterCommitMessage
+
+final case class LecoDataWriterFactory(dir: String, columns: Array[String], options: LecoWriteOptions)
+    extends DataWriterFactory {
+  override def createWriter(partitionId: Int, taskId: Long): DataWriter[InternalRow] = {
+    val part = f"part-$partitionId%05d.leco"
+    new LecoDataWriter(new File(dir, s".$part.$taskId.tmp"), new File(dir, part), columns, options)
+  }
+}
+
+/** Copies each row's longs into the file writer's row-group buffers, in
+  * `file`, which the job commit renames to `part`. A null fails the write:
+  * `getLong` would read it as 0.
+  */
+final class LecoDataWriter(file: File, part: File, columns: Array[String], o: LecoWriteOptions)
+    extends DataWriter[InternalRow] {
+  private val out = new LecoFileWriter(file, columns.toSeq, o.encoding, o.partSize, o.zstd, o.rowGroupRows)
+  private val row = new Array[Long](columns.length)
+
+  override def write(r: InternalRow): Unit = {
+    var c = 0
+    while (c < row.length) {
+      if (r.isNullAt(c)) throw new IllegalArgumentException(s"null in column ${columns(c)}: a leco column holds no nulls")
+      row(c) = r.getLong(c)
+      c += 1
+    }
+    out.addRow(row)
+  }
+
+  override def commit(): WriterCommitMessage = { out.close(); LecoCommitMessage(file.getPath, part.getPath) }
+  override def abort(): Unit = out.abort()
+  override def close(): Unit = ()
 }

@@ -1,10 +1,14 @@
 package repro.lecoformat
 
 import java.io.File
+import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
 import repro.SparkSpec
 
 /** Writer/reader integration over real Spark jobs: the encode happens in
-  * executor tasks, the read path through LecoFileReader / LecoTable.
+  * executor tasks through the DataSourceV2 write path, the read path through
+  * LecoFileReader / LecoTable and `spark.read.format("leco")`.
   */
 class LecoFormatSpec extends SparkSpec {
 
@@ -110,5 +114,106 @@ class LecoFormatSpec extends SparkSpec {
     }
     assert(sizes(2) < sizes(1), s"LeCo ${sizes(2)} !< FOR ${sizes(1)}")
     assert(sizes(1) < sizes(0), s"FOR ${sizes(1)} !< Default ${sizes(0)}")
+  }
+
+  /** The messages of `e` and of its causes. */
+  private def messages(e: Throwable): String =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString(" / ")
+
+  /** `(ts, id)` rows in 4 Spark partitions of 12 000, 0, 5000 and 7 rows:
+    * with 5000-row groups, they have several groups, none, one exactly full
+    * group and one partial group.
+    */
+  private lazy val partitioned: (DataFrame, Seq[Seq[(Long, Long)]]) = {
+    import spark.implicits._
+    val sizes = Seq(12_000, 0, 5000, 7)
+    val r = new scala.util.Random(9)
+    var t = -1L << 40
+    val parts = sizes.map(n => Seq.fill(n) {
+      t += r.nextInt(7)
+      (t, r.nextInt(50) match { case 0 => Long.MinValue; case 1 => Long.MaxValue; case _ => r.nextLong() })
+    })
+    val df = spark.sparkContext.parallelize(sizes.indices, sizes.size)
+      .flatMap(parts(_)).toDF("ts", "id")
+    assert(df.rdd.getNumPartitions == sizes.size)
+    (df, parts)
+  }
+
+  for (enc <- Seq(Encoding.Default, Encoding.For, Encoding.LecoFix); zstd <- Seq(false, true))
+    test(s"$enc(zstd=$zstd): the DataSourceV2 write equals LecoFileWriter byte for byte and reads back") {
+      val (df, parts) = partitioned
+      val dir = s"$base/bytes_${enc}_$zstd"
+      LecoWriter.write(df, dir, enc, partSize = 256, zstd = zstd, rowGroupRows = 5000)
+      val files = LecoTable.partFiles(dir)
+      assert(files.map(_.getName).toSeq == parts.indices.map(i => f"part-$i%05d.leco"))
+      for ((rows, f) <- parts.zip(files)) {
+        val direct = new File(s"$base/direct_${enc}_$zstd.leco")
+        val w = new LecoFileWriter(direct, Seq("ts", "id"), enc, 256, zstd, 5000)
+        rows.foreach { case (t, i) => w.addRow(Array(t, i)) }
+        w.close()
+        assert(Files.readAllBytes(f.toPath).sameElements(Files.readAllBytes(direct.toPath)), f)
+      }
+      val back = spark.read.format("leco").load(dir).collect().map(r => (r.getLong(0), r.getLong(1)))
+      assert(back.sorted.sameElements(parts.flatten.sorted))
+    }
+
+  test("integral columns of any width are cast exactly; other types are rejected before writing") {
+    import spark.implicits._
+    val ints = Seq(Int.MinValue, -70_000, -1, 0, 1, Int.MaxValue)
+    val df = ints.map(i => (i, (i % 30_000).toShort, (i % 100).toByte)).toDF("i", "s", "b")
+    val dir = s"$base/ints"
+    df.write.format("leco").mode("overwrite").save(dir)
+    val back = spark.read.format("leco").load(dir)
+    assert(back.schema.fields.forall(_.dataType.typeName == "long"))
+    assert(back.collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2))).sorted.toSeq ==
+             ints.map(i => (i.toLong, (i % 30_000).toLong, (i % 100).toLong)).sorted)
+    for (other <- Seq(Seq(1.5, -2.5).toDF("x"), Seq("1", "-2").toDF("x"))) {
+      val d = s"$base/other_${other.schema.head.dataType.typeName}"
+      val e = intercept[Exception](other.write.format("leco").mode("overwrite").save(d))
+      assert(messages(e).contains("integral columns only"), messages(e))
+      assert(!new File(d).exists)
+    }
+  }
+
+  test("a null fails the write, names its column, and leaves no part file") {
+    val df = spark.range(0, 20_000, 1, 4).selectExpr("id AS ts", "IF(id = 15000, NULL, id) AS v")
+    val dir = s"$base/nulls"
+    for (write <- Seq[() => Unit](
+           () => LecoWriter.write(df, dir, Encoding.LecoFix),
+           () => df.write.format("leco").mode("overwrite").save(dir))) {
+      val e = intercept[Exception](write())
+      assert(messages(e).contains("null in column v"), messages(e))
+      assert(LecoTable.partFiles(dir).isEmpty)
+    }
+  }
+
+  test("a DataWriter handed a null row fails naming the column, and its abort deletes its file") {
+    val dir = Files.createTempDirectory(new File(base).toPath, "writer").toFile
+    val w = LecoDataWriterFactory(dir.getPath, Array("ts", "v"), LecoWriteOptions(Encoding.For, 64, zstd = false, 16))
+      .createWriter(3, 7L)
+    (0 until 40).foreach(i => w.write(InternalRow(i.toLong, -i.toLong)))
+    val e = intercept[IllegalArgumentException](w.write(InternalRow(40L, null)))
+    assert(e.getMessage.contains("column v"), e.getMessage)
+    assert(dir.list().toSeq == Seq(".part-00003.leco.7.tmp") && LecoTable.partFiles(dir.getPath).isEmpty)
+    w.abort()
+    assert(dir.list().isEmpty)
+  }
+
+  test("overwrite removes only the part files; append onto a table fails and leaves it as it was") {
+    val df = spark.range(0, 1000, 1, 2).toDF("ts")
+    val dir = s"$base/modes"
+    new File(dir).mkdirs()
+    Files.writeString(new File(dir, "notes.txt").toPath, "kept")
+    Files.writeString(new File(dir, "part-00009.leco").toPath, "stale")
+    LecoWriter.write(df, dir, Encoding.LecoFix)
+    assert(new File(dir, "notes.txt").exists)
+    assert(LecoTable.partFiles(dir).map(_.getName).toSeq == Seq("part-00000.leco", "part-00001.leco"))
+    val before = LecoTable.partFiles(dir).map(f => Files.readAllBytes(f.toPath).toSeq).toSeq
+    val e = intercept[Exception](df.write.format("leco").mode("append").save(dir))
+    assert(messages(e).contains("cannot append to the leco table"), messages(e))
+    assert(LecoTable.partFiles(dir).map(f => Files.readAllBytes(f.toPath).toSeq).toSeq == before)
+    val fresh = s"$base/appended"
+    df.write.format("leco").mode("append").save(fresh)
+    assert(spark.read.format("leco").load(fresh).count() == 1000)
   }
 }

@@ -51,6 +51,39 @@ class LecoReaderSpec extends AnyFunSuite {
     // and a `col % m` window reaching a row group
     assert(seen == Set("zone skip", "all rows", "gather", "decode", "every row", "narrowed", "no columns", "window"))
   }
+
+  test("every proper prefix of a part file is rejected as a corrupt file") {
+    val cut = Files.createTempFile("lecoprefix", ".leco")
+    try ByteLayoutSpec.check(Prop.forAll(cases, Gen.listOfN(8, Gen.choose(0.0, 1.0))) { (c, fractions) =>
+      withTable(c) { dir =>
+        val whole = Files.readAllBytes(LecoTable.partFiles(dir.getPath)(0).toPath)
+        val lengths = (0 +: (whole.length - 1) +: fractions.map(f => (f * whole.length).toInt)).filter(_ < whole.length)
+        lengths.forall { k =>
+          Files.write(cut, java.util.Arrays.copyOf(whole, k))
+          scala.util.Try(new LecoFileReader(cut.toFile)).failed.toOption.exists {
+            case e: IllegalStateException => e.getMessage.startsWith(s"corrupt leco file $cut: ")
+            case _                        => false
+          }
+        }
+      }
+    }) finally Files.delete(cut)
+  }
+
+  test("a part file with bad magic or cut short is rejected, and its stream closed") {
+    val f = Files.createTempFile("lecomagic", ".leco")
+    def openFiles = java.lang.management.ManagementFactory.getOperatingSystemMXBean
+      .asInstanceOf[com.sun.management.UnixOperatingSystemMXBean].getOpenFileDescriptorCount
+    try {
+      val before = openFiles
+      for (i <- 0 until 200) {
+        val (bytes, what) = if (i % 2 == 0) ("LECO2" + "\u0000" * 16, "bad magic") else ("LECO1\u0000\u0000", "truncated")
+        Files.write(f, bytes.getBytes("ISO-8859-1"))
+        val e = intercept[IllegalStateException](new LecoFileReader(f.toFile))
+        assert(e.getMessage == s"corrupt leco file $f: $what")
+      }
+      assert(openFiles - before < 100, s"$before descriptors open before, $openFiles after")
+    } finally Files.delete(f)
+  }
 }
 
 object LecoReaderSpec {
