@@ -153,12 +153,8 @@ object LecoPartition {
 final class LecoFixCodec(val partitionSize: Int = 0) extends IntCodec {
   val name = "LeCo-fix"
 
-  def compress(values: Array[Long]): LecoFixCompressed = {
-    val size =
-      if (partitionSize > 0) partitionSize
-      else Partitioner.searchFixedSize(values, (s, l) => LecoFixCodec.costAt(s, l))
-    new LecoFixCompressed(values.length, size, Partitioner.encodeFixed(values, size)(LecoPartition.encode))
-  }
+  def compress(values: Array[Long]): LecoFixCompressed = FixedPartitions.encode(
+    values, Partitioner.fixedSize(values, partitionSize, LecoFixCodec.costAt))(LecoPartition.encode)
 }
 
 object LecoFixCodec {
@@ -173,19 +169,6 @@ object LecoFixCodec {
   }
 }
 
-/** Fixed-length partitions of LeCo-fix or FOR, located by division. */
-final class LecoFixCompressed(val n: Int, val partSize: Int, val parts: Array[LecoPartition])
-    extends FixedPartitions {
-  def get(i: Int): Long = { val p = parts(i / partSize); p.get(i % partSize) }
-}
-
-object LecoFixCompressed {
-  def read(buf: ByteBuffer): LecoFixCompressed = {
-    val (n, size, parts) = PartitionedInts.readFixed(buf)(LecoPartition.read)
-    new LecoFixCompressed(n, size, parts)
-  }
-}
-
 /** LeCo with variable-length partitions (LeCo-var, §3.2.2): greedy
   * split/merge boundaries; random access binary-searches the partition start
   * index (the paper uses ALEX for this lower-bound search; a branchless
@@ -194,22 +177,6 @@ object LecoFixCompressed {
 final class LecoVarCodec(val tau: Double = 0.1) extends IntCodec {
   val name = "LeCo-var"
 
-  def compress(values: Array[Long]): LecoVarCompressed =
-    LecoVarCompressed.encode(values, Partitioner.variable(values, Partitioner.LinearMode, tau))
-}
-
-final class LecoVarCompressed(val n: Int, val starts: Array[Int], val parts: Array[LecoPartition])
-    extends VariablePartitions {
-  def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
-}
-
-object LecoVarCompressed {
-  def encode(values: Array[Long], ps: Partitions): LecoVarCompressed =
-    new LecoVarCompressed(values.length, ps.starts,
-                          Array.tabulate(ps.count)(k => LecoPartition.encode(values, ps.starts(k), ps.end(k))))
-
-  def read(buf: ByteBuffer): LecoVarCompressed = {
-    val (n, starts, parts) = PartitionedInts.readVariable(buf)(LecoPartition.read)
-    new LecoVarCompressed(n, starts, parts)
-  }
+  def compress(values: Array[Long]): VariablePartitions[LecoPartition] = VariablePartitions.encode(
+    values, Partitioner.variable(values, Partitioner.LinearMode, tau))(LecoPartition.encode)
 }

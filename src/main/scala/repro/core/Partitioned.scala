@@ -11,6 +11,8 @@ trait EncodedPartition {
   def len: Int
   def headerBytes: Int
   def sizeBytes: Long
+  /** The value at in-partition position `j`. */
+  def get(j: Int): Long
   def writeTo(buf: ByteBuffer): Unit
   def decodeInto(out: Array[Long], outOff: Int): Unit
 
@@ -29,8 +31,8 @@ trait EncodedPartition {
   * then each partition's own bytes. `k` is the partition size of a
   * fixed-length layout, or the partition count of a variable-length one.
   */
-trait PartitionedInts extends ByteLayout {
-  def parts: Array[_ <: EncodedPartition]
+sealed abstract class PartitionedInts[P <: EncodedPartition] extends ByteLayout {
+  def parts: Array[P]
   /** First position of partition `p`. */
   def start(p: Int): Int
   /** The layout's `k`. */
@@ -42,6 +44,9 @@ trait PartitionedInts extends ByteLayout {
     while (p < parts.length) { total += parts(p).sizeBytes; p += 1 }
     total
   }
+
+  /** Where each partition's bytes start in `toBytes`. */
+  def partitionOffsets: Array[Long] = parts.scanLeft(PartitionedInts.PrefixBytes.toLong)(_ + _.sizeBytes).init
 
   /** The partitions' headers: the model side of the Fig 10 breakdown. */
   override def modelBytes: Long = parts.iterator.map(_.headerBytes.toLong).sum
@@ -67,21 +72,45 @@ trait PartitionedInts extends ByteLayout {
   }
 }
 
-/** Fixed-length partitions: partition `p` starts at `p * partSize`. */
-trait FixedPartitions extends PartitionedInts {
-  def partSize: Int
+/** Fixed-length partitions (§3.2.1): partition `p` starts at `p * partSize`,
+  * so `get` locates it by division.
+  */
+final class FixedPartitions[P <: EncodedPartition](val n: Int, val partSize: Int, val parts: Array[P])
+    extends PartitionedInts[P] {
   def start(p: Int): Int = p * partSize
   protected def k: Int = partSize
+  def get(i: Int): Long = parts(i / partSize).get(i % partSize)
 }
 
-/** Variable-length partitions, located by a search over their starts. */
-trait VariablePartitions extends PartitionedInts {
-  def starts: Array[Int]
+object FixedPartitions {
+  /** Encodes consecutive `size`-value partitions of `values`. */
+  def encode[P <: EncodedPartition: ClassTag](values: Array[Long], size: Int)
+                                             (encode: (Array[Long], Int, Int) => P): FixedPartitions[P] =
+    new FixedPartitions(values.length, size, Partitioner.encodeFixed(values, size)(encode))
+
+  def read[P <: EncodedPartition: ClassTag](buf: ByteBuffer)(read: ByteBuffer => P): FixedPartitions[P] = {
+    val n = buf.getInt; val size = buf.getInt
+    require(n >= 0 && size > 0, s"bad layout prefix: n=$n, partition size $size")
+    val parts = PartitionedInts.readParts(buf, ((n.toLong + size - 1) / size).toInt, read)
+    var p = 0
+    while (p < parts.length) {
+      val want = math.min(size.toLong, n - p.toLong * size)
+      require(parts(p).len == want, s"partition $p holds ${parts(p).len} values, expected $want")
+      p += 1
+    }
+    new FixedPartitions(n, size, parts)
+  }
+}
+
+/** Variable-length partitions (§3.2.2), located by a search over their starts. */
+final class VariablePartitions[P <: EncodedPartition](val n: Int, val starts: Array[Int], val parts: Array[P])
+    extends PartitionedInts[P] {
   def start(p: Int): Int = starts(p)
   protected def k: Int = parts.length
+  def get(i: Int): Long = { val p = partitionOf(i); parts(p).get(i - starts(p)) }
 
   /** Lower-bound search: largest k with starts(k) <= i. */
-  @inline final def partitionOf(i: Int): Int = {
+  @inline def partitionOf(i: Int): Int = {
     var lo = 0; var hi = starts.length - 1
     while (lo < hi) {
       val mid = (lo + hi + 1) >>> 1
@@ -91,38 +120,30 @@ trait VariablePartitions extends PartitionedInts {
   }
 }
 
-object PartitionedInts {
-  val PrefixBytes = 8
+object VariablePartitions {
+  /** Encodes the partitions `ps` of `values`. */
+  def encode[P <: EncodedPartition: ClassTag](values: Array[Long], ps: Partitions)
+                                             (encode: (Array[Long], Int, Int) => P): VariablePartitions[P] =
+    new VariablePartitions(values.length, ps.starts,
+                           Array.tabulate(ps.count)(k => encode(values, ps.starts(k), ps.end(k))))
 
-  /** Reads a fixed-length layout as `(n, partSize, parts)`. */
-  def readFixed[P <: EncodedPartition: ClassTag](buf: ByteBuffer)(read: ByteBuffer => P): (Int, Int, Array[P]) = {
-    val n = buf.getInt; val size = buf.getInt
-    require(n >= 0 && size > 0, s"bad layout prefix: n=$n, partition size $size")
-    val parts = readParts(buf, ((n.toLong + size - 1) / size).toInt, read)
-    var p = 0
-    while (p < parts.length) {
-      val want = math.min(size.toLong, n - p.toLong * size)
-      require(parts(p).len == want, s"partition $p holds ${parts(p).len} values, expected $want")
-      p += 1
-    }
-    (n, size, parts)
-  }
-
-  /** Reads a variable-length layout as `(n, starts, parts)`. */
-  def readVariable[P <: EncodedPartition: ClassTag](buf: ByteBuffer)(read: ByteBuffer => P)
-      : (Int, Array[Int], Array[P]) = {
+  def read[P <: EncodedPartition: ClassTag](buf: ByteBuffer)(read: ByteBuffer => P): VariablePartitions[P] = {
     val n = buf.getInt; val count = buf.getInt
     require(n >= 0 && count >= 0, s"bad layout prefix: n=$n, $count partitions")
-    val parts  = readParts(buf, count, read)
+    val parts  = PartitionedInts.readParts(buf, count, read)
     val starts = new Array[Int](count)
     var s = 0L
     var p = 0
     while (p < count) { starts(p) = s.toInt; s += parts(p).len; p += 1 }
     require(s == n, s"partitions hold $s values, expected $n")
-    (n, starts, parts)
+    new VariablePartitions(n, starts, parts)
   }
+}
 
-  private def readParts[P: ClassTag](buf: ByteBuffer, count: Int, read: ByteBuffer => P): Array[P] = {
+object PartitionedInts {
+  val PrefixBytes = 8
+
+  private[core] def readParts[P: ClassTag](buf: ByteBuffer, count: Int, read: ByteBuffer => P): Array[P] = {
     require(count <= buf.remaining, s"$count partitions cannot fit in ${buf.remaining} bytes")
     Array.fill(count)(read(buf))
   }

@@ -151,6 +151,12 @@ object Partitioner {
     best
   }
 
+  /** `size` when it is positive, otherwise the size `searchFixedSize` finds
+    * under `cost`.
+    */
+  def fixedSize(values: Array[Long], size: Int, cost: (Array[Long], Int) => Long): Int =
+    if (size > 0) size else searchFixedSize(values, cost)
+
   /** Sum of `cost(from, until)` over consecutive `size`-value partitions of
     * `values` — the shape of every fixed-size search cost fn.
     */

@@ -71,29 +71,13 @@ object DeltaPartition {
 final class DeltaFixCodec(val partitionSize: Int = 0) extends IntCodec {
   val name = "Delta-fix"
 
-  def compress(values: Array[Long]): DeltaFixCompressed = {
-    val size =
-      if (partitionSize > 0) partitionSize
-      else Partitioner.searchFixedSize(values, DeltaFixCodec.costAt)
-    new DeltaFixCompressed(values.length, size, Partitioner.encodeFixed(values, size)(DeltaPartition.encode))
-  }
+  def compress(values: Array[Long]): FixedPartitions[DeltaPartition] = FixedPartitions.encode(
+    values, Partitioner.fixedSize(values, partitionSize, DeltaFixCodec.costAt))(DeltaPartition.encode)
 }
 
 object DeltaFixCodec {
   def costAt(sample: Array[Long], l: Int): Long =
     Partitioner.fixedCost(sample, l)(DeltaPartition.encode(sample, _, _).sizeBytes)
-}
-
-final class DeltaFixCompressed(val n: Int, val partSize: Int, val parts: Array[DeltaPartition])
-    extends FixedPartitions {
-  def get(i: Int): Long = parts(i / partSize).get(i % partSize)
-}
-
-object DeltaFixCompressed {
-  def read(buf: ByteBuffer): DeltaFixCompressed = {
-    val (n, size, parts) = PartitionedInts.readFixed(buf)(DeltaPartition.read)
-    new DeltaFixCompressed(n, size, parts)
-  }
 }
 
 /** Delta Encoding with LeCo's variable-length Partitioner in Delta mode
@@ -102,21 +86,6 @@ object DeltaFixCompressed {
 final class DeltaVarCodec(val tau: Double = 0.1) extends IntCodec {
   val name = "Delta-var"
 
-  def compress(values: Array[Long]): DeltaVarCompressed = {
-    val ps = Partitioner.variable(values, Partitioner.DeltaMode, tau)
-    new DeltaVarCompressed(values.length, ps.starts,
-                           Array.tabulate(ps.count)(k => DeltaPartition.encode(values, ps.starts(k), ps.end(k))))
-  }
-}
-
-final class DeltaVarCompressed(val n: Int, val starts: Array[Int], val parts: Array[DeltaPartition])
-    extends VariablePartitions {
-  def get(i: Int): Long = { val k = partitionOf(i); parts(k).get(i - starts(k)) }
-}
-
-object DeltaVarCompressed {
-  def read(buf: ByteBuffer): DeltaVarCompressed = {
-    val (n, starts, parts) = PartitionedInts.readVariable(buf)(DeltaPartition.read)
-    new DeltaVarCompressed(n, starts, parts)
-  }
+  def compress(values: Array[Long]): VariablePartitions[DeltaPartition] = VariablePartitions.encode(
+    values, Partitioner.variable(values, Partitioner.DeltaMode, tau))(DeltaPartition.encode)
 }

@@ -15,9 +15,7 @@ final class EliasFanoCodec(val partitionSize: Int = 0) extends IntCodec {
 
   def compress(values: Array[Long]): EliasFanoCompressed = {
     require(EliasFanoCodec.isSorted(values), "Elias-Fano requires a sorted sequence")
-    val size =
-      if (partitionSize > 0) partitionSize
-      else Partitioner.searchFixedSize(values, EliasFanoCodec.costAt)
+    val size = Partitioner.fixedSize(values, partitionSize, EliasFanoCodec.costAt)
     new EliasFanoCompressed(values.length, size, Partitioner.encodeFixed(values, size)(EfPartition.encode))
   }
 }

@@ -11,12 +11,8 @@ import repro.core._
 final class ForCodec(val partitionSize: Int = 0) extends IntCodec {
   val name = "FOR"
 
-  def compress(values: Array[Long]): LecoFixCompressed = {
-    val size =
-      if (partitionSize > 0) partitionSize
-      else Partitioner.searchFixedSize(values, ForCodec.costAt)
-    new LecoFixCompressed(values.length, size, Partitioner.encodeFixed(values, size)(LecoPartition.encodeConstant))
-  }
+  def compress(values: Array[Long]): LecoFixCompressed = FixedPartitions.encode(
+    values, Partitioner.fixedSize(values, partitionSize, ForCodec.costAt))(LecoPartition.encodeConstant)
 }
 
 object ForCodec {

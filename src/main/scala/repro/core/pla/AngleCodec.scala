@@ -43,7 +43,6 @@ final class AngleCodec(val epsBits: Int = 8) extends IntCodec {
     Partitions(starts.toArray, n)
   }
 
-  def compress(values: Array[Long]): LecoVarCompressed = {
-    LecoVarCompressed.encode(values, partition(values))
-  }
+  def compress(values: Array[Long]): VariablePartitions[LecoPartition] =
+    VariablePartitions.encode(values, partition(values))(LecoPartition.encode)
 }

@@ -1,7 +1,7 @@
 package repro.dict
 
 import java.io.{File, FileOutputStream}
-import repro.core.{LecoFixCodec, LecoFixCompressed, LecoPartition, PartitionedInts}
+import repro.core.{LecoFixCodec, LecoFixCompressed, LecoPartition}
 import repro.core.baseline.ForCodec
 
 /** An order-preserving dictionary (code = rank in the sorted unique domain)
@@ -42,8 +42,7 @@ object PagedDict {
     val f = tempFile(prefix)
     val out = new FileOutputStream(f)
     try out.write(c.toBytes) finally out.close()
-    val offsets = c.parts.scanLeft(PartitionedInts.PrefixBytes.toLong)(_ + _.sizeBytes)
-    new PartitionedDict(new BufferPool(f, pageSize, budgetBytes), c.partSize, offsets, f.length())
+    new PartitionedDict(new BufferPool(f, pageSize, budgetBytes), c.partSize, c.partitionOffsets, f.length())
   }
 }
 

@@ -15,8 +15,10 @@ sealed abstract class Encoding(val tag: Int, val compress: (Array[Long], Int) =>
                                val read: ByteBuffer => ByteLayout)
 object Encoding {
   case object Default extends Encoding(0, (v, _) => DictCodec.compress(v), DictCodec.read)
-  case object For     extends Encoding(1, (v, size) => new ForCodec(size).compress(v), LecoFixCompressed.read)
-  case object LecoFix extends Encoding(2, (v, size) => new LecoFixCodec(size).compress(v), LecoFixCompressed.read)
+  case object For     extends Encoding(1, (v, size) => new ForCodec(size).compress(v),
+                                       FixedPartitions.read(_)(LecoPartition.read))
+  case object LecoFix extends Encoding(2, (v, size) => new LecoFixCodec(size).compress(v),
+                                       FixedPartitions.read(_)(LecoPartition.read))
   private val all = Seq(Default, For, LecoFix)
   def of(tag: Int): Encoding = all.find(_.tag == tag)
     .getOrElse(throw new IllegalArgumentException(s"unknown encoding tag $tag"))

@@ -45,63 +45,85 @@ object LecoWriteOptions {
 /** One job that writes `part-<partition>.leco` per input partition; its own
   * write builder. `mode("overwrite")` truncates the table, and
   * `mode("append")` writes only into a directory that holds no part file.
-  * Each task writes a hidden file, which no reader lists, and the job's
-  * commit renames them all to their part names. So a failed job, even one
-  * whose tasks are still running after it failed, leaves no part file
-  * behind: a failed task deletes its own file, and a failed job the
-  * committed ones.
+  * Each task writes its file into the job's staging directory, which only
+  * the driver creates and no reader lists, and the job's commit moves them
+  * all to their part names. So a failed job, even one whose tasks are still
+  * running after it failed, leaves no part file behind: its abort deletes
+  * the staging directory whole, and the next overwrite any staging
+  * directory an earlier job left.
   */
 final class LecoBatchWrite(dir: String, info: LogicalWriteInfo)
     extends SupportsTruncate with Write with BatchWrite {
   private val options = LecoWriteOptions(info.options)
+  private val staging = new File(dir, LecoBatchWrite.StagingPrefix + info.queryId)
   private var truncating = false
   override def truncate(): WriteBuilder = { truncating = true; this }
   override def build(): Write = this
   override def toBatch: BatchWrite = this
 
-  /** Runs on the driver before any task: clears the table's part files, and
-    * only those, or refuses to append to a table that has some.
+  /** Runs on the driver before any task: clears the table's part files and
+    * staging directories, and only those, or refuses to append to a table
+    * that has part files. Then creates this job's staging directory.
     */
   override def createBatchWriterFactory(physical: PhysicalWriteInfo): DataWriterFactory = {
     val out = new File(dir)
     require(out.isDirectory || out.mkdirs(), s"cannot create $dir")
     val existing = LecoTable.partFiles(dir)
-    if (truncating) existing.foreach(f => require(f.delete(), s"cannot delete $f"))
-    else if (existing.nonEmpty)
+    if (truncating) {
+      existing.foreach(f => require(f.delete(), s"cannot delete $f"))
+      out.listFiles().filter(_.getName.startsWith(LecoBatchWrite.StagingPrefix)).foreach(LecoBatchWrite.delete)
+    } else if (existing.nonEmpty)
       throw new UnsupportedOperationException(
         s"cannot append to the leco table $dir: it has ${existing.length} part files, and a leco table " +
           "is written whole; write it with mode(\"overwrite\")")
-    LecoDataWriterFactory(dir, info.schema.fieldNames, options)
+    require(staging.mkdir(), s"cannot create $staging")
+    LecoDataWriterFactory(staging.getPath, info.schema.fieldNames, options)
   }
 
-  override def commit(messages: Array[WriterCommitMessage]): Unit =
+  override def commit(messages: Array[WriterCommitMessage]): Unit = {
     messages.foreach { case LecoCommitMessage(written, part) =>
-      Files.move(Paths.get(written), Paths.get(part), StandardCopyOption.ATOMIC_MOVE)
+      Files.move(Paths.get(written), Paths.get(dir, part), StandardCopyOption.ATOMIC_MOVE)
     }
+    LecoBatchWrite.delete(staging)
+  }
 
-  override def abort(messages: Array[WriterCommitMessage]): Unit =
+  override def abort(messages: Array[WriterCommitMessage]): Unit = {
     messages.foreach {
-      case LecoCommitMessage(written, part) => new File(written).delete(); new File(part).delete()
-      case _                                => // a task that did not commit
+      case LecoCommitMessage(_, part) => new File(dir, part).delete() // moved by a commit that failed later
+      case _                          => // a task that did not commit
     }
+    LecoBatchWrite.delete(staging)
+  }
 }
 
-/** A task's file, `written`, and the part file it becomes. */
+object LecoBatchWrite {
+  /** The name of a job's staging directory in the table directory, before the job's query id. */
+  val StagingPrefix = ".leco-staging-"
+
+  /** Deletes a staging directory and the task files in it. */
+  private def delete(staging: File): Unit = {
+    Option(staging.listFiles()).foreach(_.foreach(_.delete()))
+    staging.delete()
+  }
+}
+
+/** A task's file, `written`, and the name of the part file it becomes. */
 final case class LecoCommitMessage(written: String, part: String) extends WriterCommitMessage
 
-final case class LecoDataWriterFactory(dir: String, columns: Array[String], options: LecoWriteOptions)
+/** Makes each task's writer, whose file is a hidden one in `staging`. */
+final case class LecoDataWriterFactory(staging: String, columns: Array[String], options: LecoWriteOptions)
     extends DataWriterFactory {
   override def createWriter(partitionId: Int, taskId: Long): DataWriter[InternalRow] = {
     val part = f"part-$partitionId%05d.leco"
-    new LecoDataWriter(new File(dir, s".$part.$taskId.tmp"), new File(dir, part), columns, options)
+    new LecoDataWriter(new File(staging, s".$part.$taskId.tmp"), part, columns, options)
   }
 }
 
 /** Copies each row's longs into the file writer's row-group buffers, in
-  * `file`, which the job commit renames to `part`. A null fails the write:
-  * `getLong` would read it as 0.
+  * `file`, which the job commit moves to the part file named `part`. A null
+  * fails the write: `getLong` would read it as 0.
   */
-final class LecoDataWriter(file: File, part: File, columns: Array[String], o: LecoWriteOptions)
+final class LecoDataWriter(file: File, part: String, columns: Array[String], o: LecoWriteOptions)
     extends DataWriter[InternalRow] {
   private val out = new LecoFileWriter(file, columns.toSeq, o.encoding, o.partSize, o.zstd, o.rowGroupRows)
   private val row = new Array[Long](columns.length)
@@ -116,7 +138,7 @@ final class LecoDataWriter(file: File, part: File, columns: Array[String], o: Le
     out.addRow(row)
   }
 
-  override def commit(): WriterCommitMessage = { out.close(); LecoCommitMessage(file.getPath, part.getPath) }
+  override def commit(): WriterCommitMessage = { out.close(); LecoCommitMessage(file.getPath, part) }
   override def abort(): Unit = out.abort()
   override def close(): Unit = ()
 }

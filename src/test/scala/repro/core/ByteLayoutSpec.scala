@@ -7,6 +7,7 @@ import org.scalacheck.util.Pretty
 import org.scalatest.Assertions
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.baseline._
+import repro.core.pla.AngleCodec
 import repro.lecoformat.{ChunkCodec, Encoding, RangePredicate}
 
 /** Property tests of the codecs over inputs that span the whole signed
@@ -18,11 +19,12 @@ class ByteLayoutSpec extends AnyFunSuite {
   import ByteLayoutSpec._
 
   private val codecs: Seq[(String, Array[Long] => ByteLayout, ByteBuffer => CompressedInts)] = Seq(
-    ("FOR", new ForCodec(PartSize).compress(_), LecoFixCompressed.read),
-    ("Delta-fix", new DeltaFixCodec(PartSize).compress(_), DeltaFixCompressed.read),
-    ("Delta-var", new DeltaVarCodec(0.1).compress(_), DeltaVarCompressed.read),
-    ("LeCo-fix", new LecoFixCodec(PartSize).compress(_), LecoFixCompressed.read),
-    ("LeCo-var", new LecoVarCodec(0.1).compress(_), LecoVarCompressed.read),
+    ("FOR", new ForCodec(PartSize).compress(_), FixedPartitions.read(_)(LecoPartition.read)),
+    ("Delta-fix", new DeltaFixCodec(PartSize).compress(_), FixedPartitions.read(_)(DeltaPartition.read)),
+    ("Delta-var", new DeltaVarCodec(0.1).compress(_), VariablePartitions.read(_)(DeltaPartition.read)),
+    ("LeCo-fix", new LecoFixCodec(PartSize).compress(_), FixedPartitions.read(_)(LecoPartition.read)),
+    ("LeCo-var", new LecoVarCodec(0.1).compress(_), VariablePartitions.read(_)(LecoPartition.read)),
+    ("LeCo-angle", new AngleCodec(8).compress(_), VariablePartitions.read(_)(LecoPartition.read)),
     ("Default", DictCodec.compress(_), DictCodec.read),
   )
 
@@ -50,6 +52,28 @@ class ByteLayoutSpec extends AnyFunSuite {
         returnsInput(compress(vals), vals, pred)
       })
     }
+
+  private val layoutInput = Array.tabulate(2 * PartSize + 2)(i => 3L * i + i % 7)
+
+  /** The error of `name`'s reader on its bytes of `layoutInput` with the
+    * layout prefix's `n` set to `n`.
+    */
+  private def layoutError(name: String, n: Int): String = {
+    val (_, compress, read) = codecs.find(_._1 == name).get
+    intercept[IllegalArgumentException](read(ByteBuffer.wrap(compress(layoutInput).toBytes).putInt(0, n))).getMessage
+  }
+
+  test("a fixed-length layout whose n disagrees with a partition's length is rejected") {
+    val n = layoutInput.length // two full partitions and one of 2 values
+    for (name <- Seq("FOR", "Delta-fix", "LeCo-fix"); (edited, want) <- Seq(n - 1 -> 1, n + 1 -> 3))
+      assert(layoutError(name, edited).endsWith(s"partition 2 holds 2 values, expected $want"), name)
+  }
+
+  test("a variable-length layout whose n is not its partitions' total is rejected") {
+    val n = layoutInput.length
+    for (name <- Seq("Delta-var", "LeCo-var", "LeCo-angle"); edited <- Seq(n - 1, n + 1))
+      assert(layoutError(name, edited).endsWith(s"partitions hold $n values, expected $edited"), name)
+  }
 
   test("every codec returns 2 3 2 7 0 8 4 4 3 5 6, where folding δmin into a Double θ0 moved a prediction by one") {
     val vals = Array[Long](2, 3, 2, 7, 0, 8, 4, 4, 3, 5, 6)

@@ -7,9 +7,9 @@ import repro.data.Datasets
 
 /** Pins the bytes of the auto-sized codecs on `codec_micro`'s nine data sets
   * (`Datasets.integerDatasets(1000, 20000)`): the partition size the search
-  * chooses (the partition count for LeCo-var) and the SHA-256 of `toBytes`.
-  * A speed change to the fit, the search or the sample must leave every
-  * line as it is.
+  * chooses (the partition count for LeCo-var and Delta-var) and the SHA-256
+  * of `toBytes`. A speed change to the fit, the search or the sample must
+  * leave every line as it is.
   */
 class GoldenBytesSpec extends AnyFunSuite {
 
@@ -75,4 +75,16 @@ class GoldenBytesSpec extends AnyFunSuite {
     "movieid"     -> (95, "45121208b8be005a0225561b71ad0d7512b1f5eebcddcaa9d0dfa53d3cecdcb6"),
     "house_price" -> (2,  "a7de2b99466bd36e530c91a40e1fc8c781e674cf2effdd996923b08220d21fcd"),
   )) { vs => val c = new LecoVarCodec().compress(vs); (c.starts.length, c) }
+
+  pinned("Delta-var", Map(
+    "linear"      -> (1,   "dd0d077cd31094b27d1407ef6242ca38b065af55f815e8c224272a1be7d5b389"),
+    "normal"      -> (16,  "111d08ffb42e6b6d3b37ecec585f39012a2e70befd431a272e34a1d8e293df5f"),
+    "poisson"     -> (2,   "19a94306971749945f1cc74807ecf6a03cffd963331cf50767e98395c7025d57"),
+    "ml"          -> (1,   "720d5ac325dee30d42dbad2d882a8fe40eb409afea4c0725b582886327c0a211"),
+    "booksale"    -> (181, "f496bf94172b19677aebf27c9f5124c649aeb045e25ff2ae9e00de39d257f165"),
+    "facebook"    -> (46,  "5138a727435a74ca07dfc8e632f09c86e144dafa216ee7976bcd05ff60ac8d87"),
+    "wiki"        -> (165, "815b38edc9bcd319f1799e615b4fd4d45d7a5627c5917f402aacf8e439681ce3"),
+    "movieid"     -> (76,  "417ae9b90d0a9d80d8b3e03ac82f43f2d5aa2b27bd0fa55c013785ce0557696a"),
+    "house_price" -> (174, "3a7032ecf953e4bfb50da22bf9ee4ed1b0dc8f9ced971a362f9bd6084c0d6e77"),
+  )) { vs => val c = new DeltaVarCodec().compress(vs); (c.starts.length, c) }
 }

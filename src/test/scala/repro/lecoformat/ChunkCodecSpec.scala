@@ -150,4 +150,14 @@ class ChunkCodecSpec extends AnyFunSuite {
     assert(corruption(long).contains("16 stray bytes"))
     assert(corruption(withRawLen(long)).contains("16 bytes left over after the LecoFix body"))
   }
+
+  test("corrupt chunk: a FOR or LeCo body whose n disagrees with its last partition is rejected") {
+    for (enc <- Seq(Encoding.For, Encoding.LecoFix)) {
+      // 3000 values in partitions of 256: the last, partition 11, holds 184
+      val b = ChunkCodec.encode(Array.tabulate(3000)(i => 7L * i + i % 5), enc, 256, zstd = false)
+      java.nio.ByteBuffer.wrap(b).putInt(ChunkCodec.HeaderBytes, 2999)
+      val msg = corruption(b)
+      assert(msg.startsWith("corrupt leco chunk ts/7") && msg.endsWith("partition 11 holds 184 values, expected 183"), msg)
+    }
+  }
 }

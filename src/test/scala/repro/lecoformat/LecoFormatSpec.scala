@@ -184,7 +184,17 @@ class LecoFormatSpec extends SparkSpec {
       val e = intercept[Exception](write())
       assert(messages(e).contains("null in column v"), messages(e))
       assert(LecoTable.partFiles(dir).isEmpty)
+      assert(new File(dir).list().isEmpty, new File(dir).list().mkString(", "))
     }
+  }
+
+  test("an overwrite removes the staging directory an earlier job left") {
+    val dir = s"$base/staged"
+    val leftover = new File(dir, LecoBatchWrite.StagingPrefix + "earlier-job")
+    leftover.mkdirs()
+    Files.writeString(new File(leftover, ".part-00000.leco.5.tmp").toPath, "a task file of a failed job")
+    LecoWriter.write(spark.range(0, 1000, 1, 2).toDF("ts"), dir, Encoding.LecoFix)
+    assert(new File(dir).list().sorted.toSeq == Seq("part-00000.leco", "part-00001.leco"))
   }
 
   test("a DataWriter handed a null row fails naming the column, and its abort deletes its file") {
