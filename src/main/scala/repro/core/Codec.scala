@@ -3,11 +3,13 @@ package repro.core
 import java.nio.ByteBuffer
 import scala.collection.mutable.ArrayBuilder
 
-/** A compressed representation of a `Long` column chunk.
+/** A compressed representation of a `Long` column chunk, and its one byte
+  * layout. `writeTo` writes exactly `sizeBytes` bytes, so `sizeBytes`, the
+  * size used for compression ratios, is always the serialized length; the
+  * codec's `read` turns them back into an equal representation. Fixed-width
+  * fields are big-endian, `ByteBuffer`'s default; bit-packed payloads are
+  * `BitPack`'s little-endian byte stream.
   *
-  * `sizeBytes` is the size used for compression ratios. For the codecs with
-  * a [[ByteLayout]] it is the exact length of their serialized bytes; the
-  * others (Elias-Fano, rANS, the string codecs) account it by formula.
   * `get` is point random access; `decompressAll` is the sequential
   * full-decode path. `scan` and `gather` are the column-chunk side of the
   * same object: the `leco` file format decodes each chunk into one of these.
@@ -17,6 +19,14 @@ trait CompressedInts {
   def sizeBytes: Long
   def get(i: Int): Long
   def decompressAll(): Array[Long]
+  def writeTo(buf: ByteBuffer): Unit
+
+  def toBytes: Array[Byte] = {
+    val buf = ByteBuffer.allocate(Math.toIntExact(sizeBytes))
+    writeTo(buf)
+    if (buf.hasRemaining) throw new IllegalStateException(s"layout wrote ${buf.position()} of its $sizeBytes bytes")
+    buf.array()
+  }
 
   /** `decompressAll` under the column-chunk name. */
   final def decodeAll(): Array[Long] = decompressAll()
@@ -73,22 +83,6 @@ trait ScanPredicate extends Serializable {
     * pruning (§5.1.1).
     */
   def nextMatch(a: Long): Long = a
-}
-
-/** A representation with one byte layout. `writeTo` writes exactly
-  * `sizeBytes` bytes; the codec's `read` turns them back into an equal
-  * representation. Fixed-width fields are big-endian, `ByteBuffer`'s
-  * default; bit-packed payloads are `BitPack`'s little-endian byte stream.
-  */
-trait ByteLayout extends CompressedInts {
-  def writeTo(buf: ByteBuffer): Unit
-
-  def toBytes: Array[Byte] = {
-    val buf = ByteBuffer.allocate(Math.toIntExact(sizeBytes))
-    writeTo(buf)
-    if (buf.hasRemaining) throw new IllegalStateException(s"layout wrote ${buf.position()} of its $sizeBytes bytes")
-    buf.array()
-  }
 }
 
 /** An integer compression scheme (one of the seven evaluated in §4). */

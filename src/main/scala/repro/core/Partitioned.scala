@@ -4,8 +4,9 @@ import java.nio.ByteBuffer
 import scala.collection.mutable.ArrayBuilder
 import scala.reflect.ClassTag
 
-/** One encoded partition of FOR, Delta or LeCo. Its bytes in the layout
-  * start with its length; `headerBytes` of them precede the packed deltas.
+/** One encoded partition of FOR, Delta, LeCo or Elias-Fano. Its bytes in
+  * the layout start with its length; `headerBytes` of them precede the
+  * packed payload.
   */
 trait EncodedPartition {
   def len: Int
@@ -31,7 +32,7 @@ trait EncodedPartition {
   * then each partition's own bytes. `k` is the partition size of a
   * fixed-length layout, or the partition count of a variable-length one.
   */
-sealed abstract class PartitionedInts[P <: EncodedPartition] extends ByteLayout {
+sealed abstract class PartitionedInts[P <: EncodedPartition] extends CompressedInts {
   def parts: Array[P]
   /** First position of partition `p`. */
   def start(p: Int): Int

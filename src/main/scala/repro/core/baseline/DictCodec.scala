@@ -13,7 +13,7 @@ object DictCodec extends IntCodec {
   private val PlainKind = 0
   private val DictKind  = 1
 
-  def compress(values: Array[Long]): ByteLayout = {
+  def compress(values: Array[Long]): CompressedInts = {
     val distinct = values.distinct
     if (values.isEmpty || distinct.length > values.length / 2) plain(values)
     else {
@@ -41,7 +41,7 @@ object DictCodec extends IntCodec {
   }
 
   /** Reads either layout; its first byte says which. */
-  def read(buf: ByteBuffer): ByteLayout = buf.get().toInt match {
+  def read(buf: ByteBuffer): CompressedInts = buf.get().toInt match {
     case PlainKind =>
       val n = buf.getInt; val width = buf.get()
       require(n >= 0 && Set(1, 2, 4, 8)(width), s"bad plain header: n=$n, width $width")
@@ -69,7 +69,7 @@ object DictCodec extends IntCodec {
   }
 
   /** Layout: `[0:u8][n:i32][width:u8]` + each value in `width` bytes. */
-  final class PlainCompressed(values: Array[Long], width: Int) extends ByteLayout {
+  final class PlainCompressed(values: Array[Long], width: Int) extends CompressedInts {
     def n: Int = values.length
     def sizeBytes: Long = 6 + values.length.toLong * width
     def get(i: Int): Long = values(i)
@@ -92,7 +92,7 @@ object DictCodec extends IntCodec {
   }
 
   /** Layout: `[1:u8][n:i32][entries:i32][width:u8][entry:i64 × entries]` + codes. */
-  final class DictCompressed(val n: Int, dict: Array[Long], width: Int, words: Array[Long]) extends ByteLayout {
+  final class DictCompressed(val n: Int, dict: Array[Long], width: Int, words: Array[Long]) extends CompressedInts {
     def sizeBytes: Long = 10 + dict.length * 8L + BitPack.payloadBytes(n, width)
     def get(i: Int): Long = dict(BitPack.read(words, i, width).toInt)
     def decompressAll(): Array[Long] = {

@@ -1,11 +1,12 @@
 package repro.core.baseline
 
+import java.nio.ByteBuffer
 import repro.core._
 
 /** Partitioned Elias-Fano (quasi-succinct) encoding of a sorted integer
   * sequence (§4.1). Each partition stores its base, the low `l` bits of each
-  * value bit-packed, and the high bits as a unary-coded bitvector with
-  * sampled select-1 positions for random access.
+  * value bit-packed, and the high bits as a unary-coded bitvector; sampled
+  * select-1 positions for random access are rebuilt from it in memory.
   *
   * Only applies to (partition-wise) non-decreasing sequences — the bench
   * skips unsorted data sets, as the paper does for poisson/movieid.
@@ -13,10 +14,9 @@ import repro.core._
 final class EliasFanoCodec(val partitionSize: Int = 0) extends IntCodec {
   val name = "Elias-Fano"
 
-  def compress(values: Array[Long]): EliasFanoCompressed = {
+  def compress(values: Array[Long]): FixedPartitions[EfPartition] = {
     require(EliasFanoCodec.isSorted(values), "Elias-Fano requires a sorted sequence")
-    val size = Partitioner.fixedSize(values, partitionSize, EliasFanoCodec.costAt)
-    new EliasFanoCompressed(values.length, size, Partitioner.encodeFixed(values, size)(EfPartition.encode))
+    FixedPartitions.encode(values, Partitioner.fixedSize(values, partitionSize, EliasFanoCodec.costAt))(EfPartition.encode)
   }
 }
 
@@ -32,9 +32,36 @@ object EliasFanoCodec {
   }
 }
 
-final case class EfPartition(base: Long, l: Int, len: Int,
-                             low: Array[Long], high: Array[Long],
-                             selectSamples: Array[Int]) {
+/** One Elias-Fano partition: value `j` is `base + (hi << l | low(j))`, where
+  * `hi` is the number of zeros before the `j`-th set bit of `high`.
+  *
+  * Byte layout: `[len:i32][base:i64][l:u8][highWords:i32]`, the low bits as
+  * a `BitPack` payload, then the `highWords` words of `high` as a 64-bit
+  * `BitPack` payload.
+  */
+final case class EfPartition(base: Long, l: Int, len: Int, low: Array[Long], high: Array[Long])
+    extends EncodedPartition {
+  /** Position of every `2^SampleShift`-th set bit of `high`; checks that
+    * `high` holds exactly `len` set bits, so `select1` and `decodeInto`
+    * stay inside it.
+    */
+  private val selectSamples: Array[Int] = {
+    val samples = new Array[Int]((len >> EfPartition.SampleShift) + 1)
+    var rank = 0L
+    var w = 0
+    while (w < high.length) {
+      var word = high(w)
+      while (word != 0) {
+        if (rank < len && (rank & EfPartition.SampleMask) == 0)
+          samples((rank >>> EfPartition.SampleShift).toInt) = (w << 6) + java.lang.Long.numberOfTrailingZeros(word)
+        rank += 1; word &= word - 1
+      }
+      w += 1
+    }
+    require(rank == len, s"Elias-Fano high bits hold $rank values, expected $len")
+    samples
+  }
+
   /** select-1(j) on `high` via the nearest sampled set-bit position plus a
     * popcount scan forward from it.
     */
@@ -75,25 +102,41 @@ final case class EfPartition(base: Long, l: Int, len: Int,
     }
   }
 
-  def sizeBytes: Long =
-    Codec.SimpleHeaderBytes + (len.toLong * l + 7) / 8 + high.length.toLong * 8 +
-      selectSamples.length.toLong * 4
+  def headerBytes: Int = EfPartition.HeaderBytes
+  def sizeBytes: Long = EfPartition.sizeOf(len, l, high.length)
+
+  def writeTo(buf: ByteBuffer): Unit = {
+    buf.putInt(len).putLong(base).put(l.toByte).putInt(high.length)
+    BitPack.putPayload(buf, low, len, l)
+    BitPack.putPayload(buf, high, high.length, 64)
+  }
 }
 
 object EfPartition {
   val SampleShift = 9 // one select sample per 512 set bits
+  private val SampleMask = (1 << SampleShift) - 1
+  /** `[len:i32][base:i64][l:u8][highWords:i32]`. */
+  val HeaderBytes: Int = 4 + 8 + 1 + 4
 
-  def lowBits(n: Int, universe: Long): Int =
-    if (universe <= 0 || n == 0) 0
-    else math.max(0, BitPack.bitsFor(universe / n) - 1)
+  /** Low-bit width for `n` values over the universe `u`, read unsigned: a
+    * partition may span 2^63 or more.
+    */
+  def lowBits(n: Int, u: Long): Int =
+    if (u == 0 || n == 0) 0
+    else math.max(0, BitPack.bitsFor(java.lang.Long.divideUnsigned(u, n)) - 1)
 
+  /** Words of the high bitvector: `u >>> l` stays below `2n`. */
+  private def highWords(n: Int, u: Long, l: Int): Int = (n + (u >>> l).toInt + 1 + 63) / 64
+
+  private def sizeOf(len: Int, l: Int, highWords: Int): Long =
+    HeaderBytes + BitPack.payloadBytes(len, l) + highWords * 8L
+
+  /** `sizeBytes` of `encode(values, from, until)`, without encoding it. */
   def encodedBytes(values: Array[Long], from: Int, until: Int): Long = {
     val n = until - from
     val u = values(until - 1) - values(from)
     val l = lowBits(n, u)
-    val highLen = n + (u >>> l).toInt + 1
-    Codec.SimpleHeaderBytes + (n.toLong * l + 7) / 8 + ((highLen + 63) / 64).toLong * 8 +
-      (((n >> SampleShift) + 1).toLong * 4)
+    sizeOf(n, l, highWords(n, u, l))
   }
 
   def encode(values: Array[Long], from: Int, until: Int): EfPartition = {
@@ -102,29 +145,25 @@ object EfPartition {
     val u    = values(until - 1) - base
     val l    = lowBits(n, u)
     val low  = new Array[Long](BitPack.wordsFor(n, l))
-    val high = new Array[Long]((n + (u >>> l).toInt + 1 + 63) / 64)
-    val samples = new Array[Int]((n >> SampleShift) + 1)
+    val high = new Array[Long](highWords(n, u, l))
     var j = 0
     while (j < n) {
       val v  = values(from + j) - base
       if (l > 0) BitPack.write(low, j.toLong * l, l, v & ((1L << l) - 1))
       val pos = j + (v >>> l).toInt
       high(pos >>> 6) |= 1L << (pos & 63)
-      if ((j & ((1 << SampleShift) - 1)) == 0) samples(j >>> SampleShift) = pos
       j += 1
     }
-    EfPartition(base, l, n, low, high, samples)
+    EfPartition(base, l, n, low, high)
   }
-}
 
-final class EliasFanoCompressed(val n: Int, val partSize: Int,
-                                val parts: Array[EfPartition]) extends CompressedInts {
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
-  def get(i: Int): Long = parts(i / partSize).get(i % partSize)
-  def decompressAll(): Array[Long] = {
-    val out = new Array[Long](n)
-    var off = 0; var k = 0
-    while (k < parts.length) { parts(k).decodeInto(out, off); off += parts(k).len; k += 1 }
-    out
+  def read(buf: ByteBuffer): EfPartition = {
+    val len  = PartitionedInts.readLen(buf)
+    val base = buf.getLong
+    val l    = buf.get() & 0xff
+    val hw   = buf.getInt
+    require(l < 64 && hw >= 0, s"bad Elias-Fano header: $l low bits, $hw high words")
+    val low  = BitPack.getPayload(buf, len, l)
+    EfPartition(base, l, len, low, BitPack.getPayload(buf, hw, 64))
   }
 }

@@ -1,5 +1,7 @@
 package repro.core.baseline
 
+import java.nio.ByteBuffer
+import scala.collection.mutable.ArrayBuffer
 import repro.core._
 
 /** Order-0 byte-wise static rANS (asymmetric numeral systems, Duda 2013) —
@@ -7,8 +9,12 @@ import repro.core._
   * at `bytesPerValue` bytes, a global frequency table (normalized to 2^12)
   * is trained over the whole stream, and the stream is encoded in blocks of
   * `blockValues` values so "random access" decodes only a block prefix.
+  * Below 8 bytes per value, a value outside `[0, 2^(8·bytesPerValue))` is
+  * rejected: its dropped bytes would decode to a different value.
   */
 final class RansCodec(val bytesPerValue: Int = 8, val blockValues: Int = 16384) extends IntCodec {
+  require(bytesPerValue >= 1 && bytesPerValue <= 8, s"rANS width $bytesPerValue bytes per value, not 1..8")
+  require(blockValues > 0, s"rANS block of $blockValues values")
   val name = "rANS"
 
   def compress(values: Array[Long]): RansCompressed = {
@@ -17,14 +23,15 @@ final class RansCodec(val bytesPerValue: Int = 8, val blockValues: Int = 16384) 
     val counts = new Array[Long](256)
     var i = 0
     while (i < n) {
+      val v = values(i)
+      require(bytesPerValue == 8 || (v >>> (8 * bytesPerValue)) == 0,
+              s"value $v does not fit in $bytesPerValue bytes")
       var b = 0
-      while (b < bytesPerValue) { counts(((values(i) >>> (8 * b)) & 0xff).toInt) += 1; b += 1 }
+      while (b < bytesPerValue) { counts(((v >>> (8 * b)) & 0xff).toInt) += 1; b += 1 }
       i += 1
     }
     val freq = Rans.normalize(counts, n.toLong * bytesPerValue)
-    val cum  = new Array[Int](257)
-    i = 0
-    while (i < 256) { cum(i + 1) = cum(i) + freq(i); i += 1 }
+    val cum  = Rans.cumulative(freq)
 
     val blocks = new Array[Array[Byte]]((n + blockValues - 1) / blockValues)
     var blk = 0
@@ -34,7 +41,7 @@ final class RansCodec(val bytesPerValue: Int = 8, val blockValues: Int = 16384) 
       blocks(blk) = Rans.encodeBlock(values, s, e, bytesPerValue, freq, cum)
       blk += 1; s = e
     }
-    new RansCompressed(n, bytesPerValue, blockValues, freq, cum, blocks)
+    new RansCompressed(n, bytesPerValue, blockValues, freq, blocks)
   }
 }
 
@@ -66,6 +73,14 @@ object Rans {
     freq(maxI) += ProbScale - assigned
     require(freq(maxI) >= 1, "frequency normalization failed (too many rare symbols)")
     freq
+  }
+
+  /** `cum(s)` is the sum of the frequencies of the symbols below `s`. */
+  def cumulative(freq: Array[Int]): Array[Int] = {
+    val cum = new Array[Int](257)
+    var i = 0
+    while (i < 256) { cum(i + 1) = cum(i) + freq(i); i += 1 }
+    cum
   }
 
   /** Encode bytes of `values(from until until)` in reverse so the decoder
@@ -134,12 +149,21 @@ object Rans {
   }
 }
 
+/** Byte layout: `[n:i32][bpv:u8][blockValues:i32][256 × freq:u16]`, then
+  * `[len:i32][bytes]` per block. `cum` and the slot table are rebuilt from
+  * `freq`.
+  */
 final class RansCompressed(val n: Int, val bpv: Int, val blockValues: Int,
-                           val freq: Array[Int], val cum: Array[Int],
-                           val blocks: Array[Array[Byte]]) extends CompressedInts {
+                           val freq: Array[Int], val blocks: Array[Array[Byte]]) extends CompressedInts {
+  private val cum     = Rans.cumulative(freq)
   private val slotSym = Rans.slotTable(freq, cum)
-  def sizeBytes: Long =
-    256 * 2 + blocks.iterator.map(b => b.length.toLong + 4).sum
+  def sizeBytes: Long = RansCompressed.HeaderBytes + blocks.iterator.map(4L + _.length).sum
+
+  def writeTo(buf: ByteBuffer): Unit = {
+    buf.putInt(n).put(bpv.toByte).putInt(blockValues)
+    freq.foreach(f => buf.putShort(f.toShort))
+    blocks.foreach(b => buf.putInt(b.length).put(b))
+  }
 
   /** Random access = decode the containing block's prefix. */
   def get(i: Int): Long = {
@@ -162,15 +186,34 @@ final class RansCompressed(val n: Int, val bpv: Int, val blockValues: Int,
   }
 }
 
-/** Uncompressed representation at a declared byte width — the `Raw` point in
-  * §4.4 and the accounting denominator elsewhere.
-  */
-final class PlainCodec(val bytesPerValue: Int = 8) extends IntCodec {
-  val name = "Plain"
-  def compress(values: Array[Long]): CompressedInts = new CompressedInts {
-    def n: Int = values.length
-    def sizeBytes: Long = values.length.toLong * bytesPerValue
-    def get(i: Int): Long = values(i)
-    def decompressAll(): Array[Long] = values.clone()
+object RansCompressed {
+  /** `[n:i32][bpv:u8][blockValues:i32][256 × freq:u16]`. */
+  val HeaderBytes: Int = 4 + 1 + 4 + 256 * 2
+
+  /** Reads the layout to the end of `buf`: every byte after the header
+    * belongs to a block.
+    */
+  def read(buf: ByteBuffer): RansCompressed = {
+    val n = buf.getInt; val bpv = buf.get() & 0xff; val blockValues = buf.getInt
+    require(n >= 0, s"rANS holds $n values")
+    require(bpv >= 1 && bpv <= 8, s"rANS width $bpv bytes per value, not 1..8")
+    require(blockValues > 0, s"rANS block of $blockValues values")
+    val freq  = Array.fill(256)(buf.getShort & 0xffff)
+    val total = freq.sum
+    require(total == Rans.ProbScale || (total == 0 && n == 0),
+            s"rANS frequencies sum to $total, not ${Rans.ProbScale}")
+    val blocks = ArrayBuffer.empty[Array[Byte]]
+    while (buf.hasRemaining) {
+      val len = buf.getInt
+      require(len <= buf.remaining,
+              s"rANS block ${blocks.length} of $len bytes runs past the buffer's end (${buf.remaining} bytes left)")
+      require(len >= 4, s"rANS block ${blocks.length} of $len bytes cannot hold its 4-byte state")
+      val block = new Array[Byte](len)
+      buf.get(block)
+      blocks += block
+    }
+    val want = (n + blockValues - 1L) / blockValues
+    require(blocks.length == want, s"rANS holds ${blocks.length} blocks, expected $want for $n values")
+    new RansCompressed(n, bpv, blockValues, freq, blocks.toArray)
   }
 }

@@ -11,8 +11,8 @@ import repro.core.baseline.{DictCodec, ForCodec}
   * `LecoFix`. Partition size is fixed at write time (the paper uses 10K).
   * Each names a codec and the reader of that codec's byte layout.
   */
-sealed abstract class Encoding(val tag: Int, val compress: (Array[Long], Int) => ByteLayout,
-                               val read: ByteBuffer => ByteLayout)
+sealed abstract class Encoding(val tag: Int, val compress: (Array[Long], Int) => CompressedInts,
+                               val read: ByteBuffer => CompressedInts)
 object Encoding {
   case object Default extends Encoding(0, (v, _) => DictCodec.compress(v), DictCodec.read)
   case object For     extends Encoding(1, (v, size) => new ForCodec(size).compress(v),

@@ -13,42 +13,49 @@ import repro.lecoformat.{ChunkCodec, Encoding, RangePredicate}
 /** Property tests of the codecs over inputs that span the whole signed
   * range: each codec and each `leco` chunk encoding returns its input
   * exactly, and the bytes `writeTo` writes read back into the same
-  * representation, with `sizeBytes` their length. No input is rejected.
+  * representation, with `sizeBytes` their length. No input is rejected;
+  * Elias-Fano, which takes sorted inputs only, gets each input sorted.
   */
 class ByteLayoutSpec extends AnyFunSuite {
   import ByteLayoutSpec._
 
-  private val codecs: Seq[(String, Array[Long] => ByteLayout, ByteBuffer => CompressedInts)] = Seq(
-    ("FOR", new ForCodec(PartSize).compress(_), FixedPartitions.read(_)(LecoPartition.read)),
-    ("Delta-fix", new DeltaFixCodec(PartSize).compress(_), FixedPartitions.read(_)(DeltaPartition.read)),
-    ("Delta-var", new DeltaVarCodec(0.1).compress(_), VariablePartitions.read(_)(DeltaPartition.read)),
-    ("LeCo-fix", new LecoFixCodec(PartSize).compress(_), FixedPartitions.read(_)(LecoPartition.read)),
-    ("LeCo-var", new LecoVarCodec(0.1).compress(_), VariablePartitions.read(_)(LecoPartition.read)),
-    ("LeCo-angle", new AngleCodec(8).compress(_), VariablePartitions.read(_)(LecoPartition.read)),
-    ("Default", DictCodec.compress(_), DictCodec.read),
+  /** Each codec's name, what it makes of an input to take it, its compress
+    * and its reader.
+    */
+  private val codecs: Seq[(String, Array[Long] => Array[Long], Array[Long] => CompressedInts, ByteBuffer => CompressedInts)] = Seq(
+    ("FOR", identity, new ForCodec(PartSize).compress(_), FixedPartitions.read(_)(LecoPartition.read)),
+    ("Delta-fix", identity, new DeltaFixCodec(PartSize).compress(_), FixedPartitions.read(_)(DeltaPartition.read)),
+    ("Delta-var", identity, new DeltaVarCodec(0.1).compress(_), VariablePartitions.read(_)(DeltaPartition.read)),
+    ("LeCo-fix", identity, new LecoFixCodec(PartSize).compress(_), FixedPartitions.read(_)(LecoPartition.read)),
+    ("LeCo-var", identity, new LecoVarCodec(0.1).compress(_), VariablePartitions.read(_)(LecoPartition.read)),
+    ("LeCo-angle", identity, new AngleCodec(8).compress(_), VariablePartitions.read(_)(LecoPartition.read)),
+    ("Elias-Fano", _.sorted, new EliasFanoCodec(PartSize).compress(_), FixedPartitions.read(_)(EfPartition.read)),
+    ("rANS", identity, new RansCodec(8, PartSize).compress(_), RansCompressed.read),
+    ("Default", identity, DictCodec.compress(_), DictCodec.read),
   )
 
-  for ((name, compress, read) <- codecs)
+  for ((name, input, compress, read) <- codecs)
     test(s"$name: its bytes read back into the in-memory form, sizeBytes is their length") {
-      check(Prop.forAll(values) { vals =>
+      check(Prop.forAll(values.map(input)) { vals =>
         val c     = compress(vals)
         val bytes = c.toBytes
         val buf   = ByteBuffer.wrap(bytes)
         val back  = read(buf)
         bytes.length == c.sizeBytes && !buf.hasRemaining && sameAs(back, c) &&
-          back.asInstanceOf[ByteLayout].toBytes.sameElements(bytes)
+          back.toBytes.sameElements(bytes)
       })
     }
 
   /** Every codec, and every encoding through a `leco` chunk with zstd off and on. */
-  private val oracles: Seq[(String, Array[Long] => CompressedInts)] =
-    codecs.map { case (name, compress, _) => name -> compress } ++
+  private val oracles: Seq[(String, Array[Long] => Array[Long], Array[Long] => CompressedInts)] =
+    codecs.map { case (name, input, compress, _) => (name, input, compress) } ++
       (for (enc <- Seq(Encoding.Default, Encoding.For, Encoding.LecoFix); zstd <- Seq(false, true))
-        yield s"$enc chunk (zstd=$zstd)" -> ((vals: Array[Long]) => ChunkCodec.decode(ChunkCodec.encode(vals, enc, PartSize, zstd))))
+        yield (s"$enc chunk (zstd=$zstd)", identity[Array[Long]] _,
+               (vals: Array[Long]) => ChunkCodec.decode(ChunkCodec.encode(vals, enc, PartSize, zstd))))
 
-  for ((name, compress) <- oracles)
+  for ((name, input, compress) <- oracles)
     test(s"$name: decompressAll, get and scan return the input") {
-      check(Prop.forAll(values.flatMap(vs => rangeIn(vs).map(vs -> _))) { case (vals, pred) =>
+      check(Prop.forAll(values.map(input).flatMap(vs => rangeIn(vs).map(vs -> _))) { case (vals, pred) =>
         returnsInput(compress(vals), vals, pred)
       })
     }
@@ -59,13 +66,13 @@ class ByteLayoutSpec extends AnyFunSuite {
     * layout prefix's `n` set to `n`.
     */
   private def layoutError(name: String, n: Int): String = {
-    val (_, compress, read) = codecs.find(_._1 == name).get
-    intercept[IllegalArgumentException](read(ByteBuffer.wrap(compress(layoutInput).toBytes).putInt(0, n))).getMessage
+    val (_, input, compress, read) = codecs.find(_._1 == name).get
+    intercept[IllegalArgumentException](read(ByteBuffer.wrap(compress(input(layoutInput)).toBytes).putInt(0, n))).getMessage
   }
 
   test("a fixed-length layout whose n disagrees with a partition's length is rejected") {
     val n = layoutInput.length // two full partitions and one of 2 values
-    for (name <- Seq("FOR", "Delta-fix", "LeCo-fix"); (edited, want) <- Seq(n - 1 -> 1, n + 1 -> 3))
+    for (name <- Seq("FOR", "Delta-fix", "LeCo-fix", "Elias-Fano"); (edited, want) <- Seq(n - 1 -> 1, n + 1 -> 3))
       assert(layoutError(name, edited).endsWith(s"partition 2 holds 2 values, expected $want"), name)
   }
 
@@ -75,9 +82,32 @@ class ByteLayoutSpec extends AnyFunSuite {
       assert(layoutError(name, edited).endsWith(s"partitions hold $n values, expected $edited"), name)
   }
 
+  test("rANS bytes with an edited n, width, block size, frequency or block length are rejected") {
+    val bytes = new RansCodec(8, PartSize).compress(Array.tabulate(4 * PartSize - 56)(i => (i % 13).toLong)).toBytes
+    def error(edit: ByteBuffer => Unit): String = {
+      val buf = ByteBuffer.wrap(bytes.clone())
+      edit(buf)
+      intercept[IllegalArgumentException](RansCompressed.read(buf)).getMessage
+    }
+    val freq0 = 9 // [n:i32][bpv:u8][blockValues:i32], then freq(0)
+    val len0  = freq0 + 256 * 2
+    assert(error(_.putInt(0, 2 * PartSize)).endsWith("rANS holds 4 blocks, expected 2 for 128 values"))
+    assert(error(_.putInt(0, 4 * PartSize + 1)).endsWith("rANS holds 4 blocks, expected 5 for 257 values"))
+    for (bpv <- Seq(0, 9)) assert(error(_.put(4, bpv.toByte)).endsWith(s"rANS width $bpv bytes per value, not 1..8"))
+    assert(error(_.putInt(5, 0)).endsWith("rANS block of 0 values"))
+    assert(error(b => b.putShort(freq0, (b.getShort(freq0) + 1).toShort))
+      .endsWith(s"rANS frequencies sum to ${Rans.ProbScale + 1}, not ${Rans.ProbScale}"))
+    assert(error(_.putInt(len0, bytes.length)).endsWith(
+      s"rANS block 0 of ${bytes.length} bytes runs past the buffer's end (${bytes.length - len0 - 4} bytes left)"))
+    assert(error(_.putInt(len0, 3)).endsWith("rANS block 0 of 3 bytes cannot hold its 4-byte state"))
+  }
+
   test("every codec returns 2 3 2 7 0 8 4 4 3 5 6, where folding δmin into a Double θ0 moved a prediction by one") {
     val vals = Array[Long](2, 3, 2, 7, 0, 8, 4, 4, 3, 5, 6)
-    for ((name, compress) <- oracles) assert(returnsInput(compress(vals), vals, RangePredicate(3, 6)), name)
+    for ((name, input, compress) <- oracles) {
+      val in = input(vals)
+      assert(returnsInput(compress(in), in, RangePredicate(3, 6)), name)
+    }
   }
 }
 

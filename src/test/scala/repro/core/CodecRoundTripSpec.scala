@@ -82,13 +82,13 @@ class CodecRoundTripSpec extends AnyFunSuite {
 
   test("every codec reports a positive compressed size") {
     val values = Array.tabulate(1000)(i => 3L * i)
-    (codecs(true) :+ (new PlainCodec(8): IntCodec)).foreach { c =>
+    codecs(true).foreach { c =>
       assert(c.compress(values).sizeBytes > 0, c.name)
     }
   }
 
   test("every codec round-trips the empty input") {
-    (codecs(true) :+ (new PlainCodec(8): IntCodec)).foreach { codec =>
+    codecs(true).foreach { codec =>
       val c = codec.compress(Array.empty[Long])
       assert(c.n == 0 && c.decompressAll().isEmpty && c.sizeBytes >= 0, codec.name)
     }
@@ -100,13 +100,5 @@ class CodecRoundTripSpec extends AnyFunSuite {
     val forSize  = new ForCodec(512).compress(values).sizeBytes
     val lecoSize = new LecoFixCodec(512).compress(values).sizeBytes
     assert(lecoSize <= forSize)
-  }
-
-  test("PlainCodec is the identity with exact size accounting") {
-    val values = Array.tabulate(100)(_.toLong * 5)
-    val c = new PlainCodec(4).compress(values)
-    assert(c.sizeBytes == 400)
-    assert(c.decompressAll().sameElements(values))
-    assert(c.get(17) == 85)
   }
 }

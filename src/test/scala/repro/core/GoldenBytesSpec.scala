@@ -5,26 +5,29 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.baseline._
 import repro.data.Datasets
 
-/** Pins the bytes of the auto-sized codecs on `codec_micro`'s nine data sets
-  * (`Datasets.integerDatasets(1000, 20000)`): the partition size the search
-  * chooses (the partition count for LeCo-var and Delta-var) and the SHA-256
-  * of `toBytes`. A speed change to the fit, the search or the sample must
-  * leave every line as it is.
+/** Pins the bytes of the auto-sized codecs, and of rANS, on `codec_micro`'s
+  * nine data sets (`Datasets.integerDatasets(1000, 20000)`; Elias-Fano on
+  * the sorted ones): the partition size the search chooses (the partition
+  * count for LeCo-var and Delta-var, the block count for rANS) and the
+  * SHA-256 of `toBytes`. A speed change to the fit, the search or the sample
+  * must leave every line as it is.
   */
 class GoldenBytesSpec extends AnyFunSuite {
 
-  private lazy val datasets = Datasets.integerDatasets(1000, 20000).map(d => d.name -> d.values)
+  private lazy val datasets = Datasets.integerDatasets(1000, 20000)
 
   private def sha256(bytes: Array[Byte]): String =
     MessageDigest.getInstance("SHA-256").digest(bytes).map("%02x".format(_)).mkString
 
-  private def pinned(codec: String, expected: Map[String, (Int, String)])
-                    (compress: Array[Long] => (Int, ByteLayout)): Unit =
-    test(s"$codec: chosen partitioning and bytes on the nine codec_micro data sets are pinned") {
-      assert(datasets.map(_._1).toSet == expected.keySet)
-      for ((name, values) <- datasets) {
-        val (size, c) = compress(values)
-        assert((size, sha256(c.toBytes)) == expected(name), s"$codec on $name")
+  /** Pins `codec` on the nine data sets, or on the sorted ones only. */
+  private def pinned(codec: String, expected: Map[String, (Int, String)], sortedOnly: Boolean = false)
+                    (compress: Array[Long] => (Int, CompressedInts)): Unit =
+    test(s"$codec: chosen partitioning and bytes on the ${if (sortedOnly) "sorted" else "nine"} codec_micro data sets are pinned") {
+      val sets = datasets.filter(d => d.fullySorted || !sortedOnly)
+      assert(sets.map(_.name).toSet == expected.keySet)
+      for (d <- sets) {
+        val (size, c) = compress(d.values)
+        assert((size, sha256(c.toBytes)) == expected(d.name), s"$codec on ${d.name}")
       }
     }
 
@@ -87,4 +90,26 @@ class GoldenBytesSpec extends AnyFunSuite {
     "movieid"     -> (76,  "417ae9b90d0a9d80d8b3e03ac82f43f2d5aa2b27bd0fa55c013785ce0557696a"),
     "house_price" -> (174, "3a7032ecf953e4bfb50da22bf9ee4ed1b0dc8f9ced971a362f9bd6084c0d6e77"),
   )) { vs => val c = new DeltaVarCodec().compress(vs); (c.starts.length, c) }
+
+  pinned("Elias-Fano", Map(
+    "linear"      -> (8192,  "98c76391b7059334027f8cfc44bf429faa740079e407238b04f0f44d2fdf5d0e"),
+    "normal"      -> (8192,  "56f82d442453d7cf8271088f5e2cc401bb13e89b030e257a7ca1a59fb7d2bcb5"),
+    "ml"          -> (384,   "2fda72b17ab898375cda60b2da65c8b50586b85b975fc06827b63d267ea84388"),
+    "booksale"    -> (65536, "fbec88b6f734400b9be1c476c6c65ba72b26a964e8c8b56cba7c86918a4ffd0b"),
+    "facebook"    -> (256,   "26945de450b1b7b56877f6d4f0f2a9094fd3dea3ceb807f9ab1a10fa232e6e04"),
+    "wiki"        -> (4096,  "9177e6ca4d2572734c05f0303ee783d7d9060578806bba3b1a1b65e9b80dd2c5"),
+    "house_price" -> (96,    "3984134a1b7b467574e822eb13e783f5a7a1e62c16d72feb8a6b563b459ea72b"),
+  ), sortedOnly = true) { vs => val c = new EliasFanoCodec().compress(vs); (c.partSize, c) }
+
+  pinned("rANS", Map(
+    "linear"      -> (13, "76e98b6e539dacae1aae41fc792874043ac24ec72a1e01b4bed835442e161d90"),
+    "normal"      -> (13, "5397231d42a208b88aedba4fc1c33bbcb3ffd04027001320c331a8525aed63f1"),
+    "poisson"     -> (6,  "34abe1cc77c9bd01add6757e508986b3b28e4c42956b2fb8b8302ab73541bea1"),
+    "ml"          -> (2,  "393696da2c3135a1f985b86fdcd46be9ca1c8e368045f655809a52af481420dd"),
+    "booksale"    -> (13, "70d9620357a8e736d0a61fbc5248a1730033faec3ac19db331c0351e8ac03ef0"),
+    "facebook"    -> (13, "cc7cc339a0159c5ec45b9ed47d498276ad5ba22b498836bf98aea6bb3bfbb944"),
+    "wiki"        -> (13, "f4058a9d01b277f4a2f51f632a01c3d6c05fa8753d9a17692527a03df1a7dcf7"),
+    "movieid"     -> (2,  "1c20c1eae11333fd55d1b029569c380c02757c7128e6108b6bc1bfc007b5b0fc"),
+    "house_price" -> (2,  "f612a964040168c4bcab9606b50b0dfc4543713d1854f3c0ad532a055d2e761b"),
+  )) { vs => val c = new RansCodec(8).compress(vs); (c.blocks.length, c) }
 }

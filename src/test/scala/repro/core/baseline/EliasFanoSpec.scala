@@ -1,6 +1,8 @@
 package repro.core.baseline
 
+import java.nio.ByteBuffer
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.FixedPartitions
 
 class EliasFanoSpec extends AnyFunSuite {
 
@@ -62,5 +64,26 @@ class EliasFanoSpec extends AnyFunSuite {
   test("lowBits computation") {
     assert(EfPartition.lowBits(1024, 1L << 20) == 10)
     assert(EfPartition.lowBits(10, 0) == 0)
+    assert(EfPartition.lowBits(5, -1L) == 61) // a universe of 2^64 - 1, read unsigned
+  }
+
+  test("the size search's encodedBytes is the length writeTo writes") {
+    val r = new scala.util.Random(3)
+    for (vals <- Seq(Array(9L), Array.fill(700)(4L), Array.tabulate(5000)(i => 3L * i),
+                     Array.fill(2000)(r.nextLong()).sorted)) {
+      val p   = EfPartition.encode(vals, 0, vals.length)
+      val buf = ByteBuffer.allocate(p.sizeBytes.toInt)
+      p.writeTo(buf)
+      assert(!buf.hasRemaining && EfPartition.encodedBytes(vals, 0, vals.length) == p.sizeBytes)
+    }
+  }
+
+  test("a high bitvector that does not hold one set bit per value is rejected") {
+    val bytes = new EliasFanoCodec(64).compress(Array.tabulate(130)(i => 3L * i)).toBytes
+    val at  = 8 + 4 + 8 + 1 // layout prefix, then the first partition's len, base and l
+    val buf = ByteBuffer.wrap(bytes)
+    buf.putInt(at, buf.getInt(at) - 1) // its last high word, which holds set bits, is dropped
+    val e = intercept[IllegalArgumentException](FixedPartitions.read(buf)(EfPartition.read))
+    assert(e.getMessage.endsWith("Elias-Fano high bits hold 52 values, expected 64"))
   }
 }

@@ -42,6 +42,15 @@ class RansSpec extends AnyFunSuite {
     assert(c.decompressAll().sameElements(vals))
   }
 
+  test("a value outside the declared width is rejected before encoding") {
+    for ((vals, v) <- Seq(Array(-1L, 5L, -300000L) -> -1L, Array(1L << 40, 3L) -> (1L << 40), Array(0L, 1L << 32) -> (1L << 32))) {
+      val e = intercept[IllegalArgumentException](new RansCodec(4, 16).compress(vals))
+      assert(e.getMessage.endsWith(s"value $v does not fit in 4 bytes"))
+    }
+    val top = Array(0L, 0xffffffffL)
+    assert(new RansCodec(4, 16).compress(top).decompressAll().sameElements(top))
+  }
+
   test("random access decodes block prefixes correctly") {
     val r = new scala.util.Random(4)
     val vals = Array.fill(9000)(r.nextInt(1000).toLong)
