@@ -46,6 +46,32 @@ object BitPack {
 
   def pack(values: Array[Long], b: Int): Array[Long] = pack(values, 0, values.length, b)
 
+  /** Pack `src(j) - base` for `j < n` at width `b`, one word at a time.
+    * Every difference must fit in `b` bits, read unsigned.
+    */
+  def packAbove(src: Array[Long], n: Int, base: Long, b: Int): Array[Long] = {
+    val words = new Array[Long](wordsFor(n, b))
+    if (b == 0) return words
+    var cur  = 0L // the word being filled, `used` bits of it so far
+    var used = 0
+    var w = 0
+    var j = 0
+    while (j < n) {
+      val v = src(j) - base
+      cur |= v << used
+      used += b
+      if (used >= 64) {
+        words(w) = cur
+        w += 1
+        used -= 64
+        cur = if (used == 0) 0L else v >>> (b - used)
+      }
+      j += 1
+    }
+    if (used > 0) words(w) = cur
+    words
+  }
+
   /** Write `b` bits of `v` at absolute bit offset `bitPos`. */
   def write(words: Array[Long], bitPos: Long, b: Int, v: Long): Unit = {
     if (b == 0) return

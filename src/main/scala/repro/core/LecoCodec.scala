@@ -4,66 +4,85 @@ import java.nio.{ByteBuffer, ByteOrder}
 import scala.collection.mutable.ArrayBuilder
 
 /** One encoded partition of LeCo or FOR: a model, `predict(j) = anchor +
-  * floor(θ1·j)`, plus fixed-width non-negative deltas (§3). FOR is the
-  * constant model, θ1 = 0, whose anchor is the frame minimum (§2).
+  * ((slope·j + phase) >> shift)`, plus fixed-width non-negative deltas (§3).
+  * `slope·2^-shift` is the least-squares θ1 in fixed point and `phase` the
+  * fraction of θ0 (see [[Fit]]). FOR is the constant model, slope 0, whose
+  * anchor is the frame minimum (§2).
   *
-  * The anchor is an exact `Long` that no `Double` touches, and the sums wrap,
-  * so every partition of every input is exact and fits a width of 64. Decode
-  * computes `floor(θ1·j)` directly, one multiply per value, so there is no
-  * §3.3 correction list.
+  * The model is integer arithmetic, so encode and decode agree on every bit.
+  * The anchor is an exact `Long` and the sums wrap, so every partition of
+  * every input is exact and fits a width of 64. `|slope|·(len − 1) <= 2^62`
+  * and `phase < 2^shift <= 2^62`, so `slope·j + phase` never leaves a
+  * `Long`: the prediction is monotone in `j`, and sequential decode is §3.3's
+  * accumulation, `acc += slope`, with no correction list.
   *
   * Byte layout: `[len:i32][anchor:i64][width:u8]`, the high bit of the width
-  * byte set when `[θ1:f64]` follows (`linear`: always for LeCo, never for
-  * FOR), then the packed deltas.
+  * byte set when `[model:i64]` follows (`linear`: always for LeCo, never for
+  * FOR), then the packed deltas. The model word holds the slope in its top 50
+  * bits (signed), the phase in the next 8 bits, in steps of
+  * `2^max(0, shift − 8)`, and the shift in its low 6 bits.
   */
-final case class LecoPartition(anchor: Long, theta1: Double, linear: Boolean, width: Int,
-                               len: Int, words: Array[Long]) extends EncodedPartition {
-  @inline def predict(j: Int): Long = anchor + LineFit.floorAt(theta1, j)
+final case class LecoPartition(anchor: Long, slope: Long, shift: Int, phase: Long, linear: Boolean,
+                               width: Int, len: Int, words: Array[Long]) extends EncodedPartition {
+  require(shift >= 0 && shift <= 62 && Math.abs(slope) <= LineFit.slopeLimit(len) && (linear || slope == 0) &&
+            phase >= 0 && phase < (1L << shift) && (phase & (LecoPartition.phaseStep(shift) - 1)) == 0,
+          s"model slope $slope, shift $shift, phase $phase is outside the fixed-point limits of $len values")
+
+  /** The prediction's offset from the anchor at `j`; monotone in `j`, 0 at `j = 0`. */
+  @inline def offsetAt(j: Int): Long = (slope * j + phase) >> shift
+  @inline def predict(j: Int): Long = anchor + offsetAt(j)
   @inline def get(j: Int): Long = predict(j) + BitPack.read(words, j, width)
 
   /** Always empty; kept only for perfbench's `leco.corrections` count. */
   def corrections: Array[Int] = Array.emptyIntArray
 
-  /** Sequential decode into `out(outOff ...)`; the position is a `Double` counter, as in [[LineFit]]. */
+  /** Sequential decode into `out(outOff ...)`: §3.3's `acc += slope`; a
+    * constant model (FOR) adds the anchor alone.
+    */
   def decodeInto(out: Array[Long], outOff: Int): Unit = {
-    val t1 = theta1
-    var x = 0.0
+    val m = slope; val s = shift; val w = width; val ws = words
     var j = 0
-    while (j < len) {
-      out(outOff + j) = anchor + LineFit.floorAt(t1, x) + BitPack.read(words, j, width)
-      x += 1.0
-      j += 1
+    if (m == 0) while (j < len) { out(outOff + j) = anchor + BitPack.read(ws, j, w); j += 1 }
+    else {
+      var acc = phase
+      while (j < len) {
+        out(outOff + j) = anchor + (acc >> s) + BitPack.read(ws, j, w)
+        acc += m
+        j += 1
+      }
     }
   }
 
   /** Partition-bound skipping plus LeCo's in-partition computation pruning
     * (§5.1.1). The value at `j` lies in `[predict(j), predict(j) + span]`, so
-    * with θ1 > 0 the scanner jumps over position ranges whose values
-    * provably miss the predicate. Where those bounds would wrap past the
-    * signed range, every value is decoded and tested.
+    * with a rising slope the scanner jumps over position ranges whose values
+    * provably miss the predicate, to the first position whose prediction
+    * reaches the target: exact integer arithmetic. Where those bounds would
+    * wrap past the signed range, every value is decoded and tested.
     */
   override def scanInto(pred: ScanPredicate, base: Int, out: ArrayBuilder.ofInt): Unit = {
     // the largest delta, unsigned, capped so that `anchor + span` stays a Long
     val maxDelta = if (width == 64) -1L else (1L << width) - 1
     val span = if (java.lang.Long.compareUnsigned(maxDelta, Long.MaxValue - anchor) > 0) Long.MaxValue - anchor
                else maxDelta
-    val pEnd = LineFit.floorAt(theta1, len - 1) // floor(θ1·j) is monotone and 0 at j = 0
-    val lo = anchor + math.min(pEnd, 0L)
-    val hi = anchor + span + math.max(pEnd, 0L)
+    val qEnd = offsetAt(len - 1)
+    val lo = anchor + math.min(qEnd, 0L)
+    val hi = anchor + span + math.max(qEnd, 0L)
     if (lo > anchor || hi < anchor + span) super.scanInto(pred, base, out)
     else if (pred.mayMatch(lo, hi)) {
-      val jumpable = theta1 > 0
+      val jumpable = slope > 0
       var j = 0
       while (j < len) {
         val low = predict(j)
         val next = if (jumpable) pred.nextMatch(low) else low
         if (java.lang.Long.compareUnsigned(next - low, span) > 0) {
           // positions j..k-1 predict below `next - span`, so none reaches `next`
-          val target = next - span
-          val t = target - anchor // what floor(θ1·k) must reach; wrapped negative, no k does
-          var k = if (t < 0) len else math.max(j + 1, math.min(len.toDouble, t / theta1).toInt)
-          while (k > j + 1 && predict(k - 1) >= target) k -= 1
-          j = k
+          val t = next - span - anchor // what offsetAt(k) must reach; wrapped negative, no k does
+          j = if (t < 0 || t > qEnd) len
+              else { // the least k with slope·k + phase >= t·2^s, which is at most slope·(len−1) + phase
+                val x = (t << shift) - phase
+                math.max(j + 1, ((x + slope - 1) / slope).toInt)
+              }
         } else {
           // value = low + delta: reuse the bound instead of a second predict
           if (pred.test(low + BitPack.read(words, j, width))) out += base + j
@@ -79,7 +98,7 @@ final case class LecoPartition(anchor: Long, theta1: Double, linear: Boolean, wi
 
   def writeTo(buf: ByteBuffer): Unit = {
     buf.putInt(len).putLong(anchor)
-    if (linear) buf.put((width | LecoPartition.SlopeFlag).toByte).putDouble(theta1)
+    if (linear) buf.put((width | LecoPartition.SlopeFlag).toByte).putLong(LecoPartition.modelWord(slope, shift, phase))
     else buf.put(width.toByte)
     BitPack.putPayload(buf, words, len, width)
   }
@@ -87,33 +106,36 @@ final case class LecoPartition(anchor: Long, theta1: Double, linear: Boolean, wi
 
 object LecoPartition {
   private val SlopeFlag = 0x80
+  private val PhaseBits = 8
+
+  /** The phase's step at `shift`: the layout keeps its top [[PhaseBits]] bits. */
+  def phaseStep(shift: Int): Long = 1L << math.max(0, shift - PhaseBits)
+
+  private def modelWord(slope: Long, shift: Int, phase: Long): Long =
+    (slope << 14) | ((phase >>> math.max(0, shift - PhaseBits)) << 6) | shift
+
+  /** The slope, shift and phase of a model word, as [[modelWord]] packs them. */
+  @inline private def slopeOf(word: Long): Long = word >> 14
+  @inline private def shiftOf(word: Long): Int = (word & 63).toInt
+  @inline private def phaseOf(word: Long): Long = ((word >>> 6) & 0xff) * phaseStep(shiftOf(word))
+
+  /** An encoder of LeCo partitions (`linear`) or FOR frames (the constant
+    * model) of `values(from until until)`, for one thread: its one
+    * [[LineFit]] and delta buffer serve every partition it encodes.
+    */
+  def encoder(linear: Boolean): (Array[Long], Int, Int) => LecoPartition = {
+    val line = new LineFit(keepDeltas = true)
+    if (linear) (values, from, until) => line.fit(values, from, until).toPartition(linear = true, until - from)
+    else (values, from, until) => line.window(values, from, until, 0L, 0).toPartition(linear = false, until - from)
+  }
 
   /** Fit + encode one LeCo partition of `values(from until until)`. */
   def encode(values: Array[Long], from: Int, until: Int): LecoPartition =
-    pack(Regressor.fitLinear(values, from, until), linear = true, values, from, until)
+    new LineFit(keepDeltas = true).fit(values, from, until).toPartition(linear = true, until - from)
 
   /** Encodes one FOR frame of `values(from until until)`: the constant model. */
   def encodeConstant(values: Array[Long], from: Int, until: Int): LecoPartition =
-    pack(new LineFit().window(values, from, until, 0.0).toFit, linear = false, values, from, until)
-
-  /** Packs `v(j) - floor(θ1·j) - anchor` of `fit`'s window: each lies in
-    * `[0, δmax − δmin]`, which the fit's width holds.
-    */
-  private def pack(fit: Fit, linear: Boolean, values: Array[Long], from: Int, until: Int): LecoPartition = {
-    val t1     = fit.theta1
-    val anchor = fit.anchor
-    val width  = fit.bitWidth
-    val n      = until - from
-    val words  = new Array[Long](BitPack.wordsFor(n, width))
-    var x = 0.0
-    var j = 0
-    while (j < n) {
-      BitPack.write(words, j.toLong * width, width, values(from + j) - LineFit.floorAt(t1, x) - anchor)
-      x += 1.0
-      j += 1
-    }
-    LecoPartition(anchor, t1, linear, width, n, words)
-  }
+    new LineFit(keepDeltas = true).window(values, from, until, 0L, 0).toPartition(linear = false, until - from)
 
   def read(buf: ByteBuffer): LecoPartition = {
     val len = PartitionedInts.readLen(buf)
@@ -121,8 +143,9 @@ object LecoPartition {
     val flags = buf.get() & 0xff
     val width = PartitionedInts.checkWidth(flags & ~SlopeFlag)
     val linear = (flags & SlopeFlag) != 0
-    val theta1 = if (linear) buf.getDouble else 0.0
-    LecoPartition(anchor, theta1, linear, width, len, BitPack.getPayload(buf, len, width))
+    val word = if (linear) buf.getLong else 0L
+    LecoPartition(anchor, slopeOf(word), shiftOf(word), phaseOf(word), linear, width, len,
+                  BitPack.getPayload(buf, len, width))
   }
 
   /** `get(j)` of the partition whose bytes start at `off` of the source
@@ -135,13 +158,14 @@ object LecoPartition {
     val anchor = hdr.getLong
     val flags = hdr.get() & 0xff
     val width = flags & ~SlopeFlag
-    val theta1 = if ((flags & SlopeFlag) != 0) hdr.getDouble else 0.0
+    val word = if ((flags & SlopeFlag) == 0) 0L else hdr.getLong
+    val offset = (slopeOf(word) * j + phaseOf(word)) >> shiftOf(word)
     val bitPos = j.toLong * width
     val spills = (bitPos & 63) + width > 64
     val payload = ByteBuffer.wrap(bytes(off + hdr.position() + (bitPos >>> 6) * 8, if (spills) 16 else 8))
       .order(ByteOrder.LITTLE_ENDIAN)
     val words = Array(payload.getLong(0), if (spills) payload.getLong(8) else 0L)
-    anchor + LineFit.floorAt(theta1, j) + BitPack.readAt(words, bitPos & 63, width)
+    anchor + offset + BitPack.readAt(words, bitPos & 63, width)
   }
 }
 
@@ -154,17 +178,30 @@ final class LecoFixCodec(val partitionSize: Int = 0) extends IntCodec {
   val name = "LeCo-fix"
 
   def compress(values: Array[Long]): LecoFixCompressed = FixedPartitions.encode(
-    values, Partitioner.fixedSize(values, partitionSize, LecoFixCodec.costAt))(LecoPartition.encode)
+    values, Partitioner.fixedSize(values, partitionSize, LecoFixCodec.costAt, LecoFixCodec.MaxSearchSize)
+  )(LecoPartition.encoder(linear = true))
 }
 
 object LecoFixCodec {
-  /** Compressed bytes of `sample` at partition size `l` — the search cost fn.
-    * Reuses one [[LineFit]] across the partitions.
+  /** The largest size the search tries: half a sample window. At a whole
+    * window the sample holds only 8 partitions, and one whose width a phase
+    * narrowed moved Fig 10's booksale (1M values) from 2048 to 8192, where
+    * the column is 1.7x larger; above it partitions straddle unrelated
+    * windows.
     */
-  def costAt(sample: Array[Long], l: Int): Long = {
-    val line = new LineFit
-    Partitioner.fixedCost(sample, l) { (s, e) =>
-      Codec.LinearHeaderBytes + BitPack.payloadBytes(e - s, line.fit(sample, s, e).width)
+  val MaxSearchSize: Int = Partitioner.SampleWindow / 2
+
+  /** Encoded bytes of a sample at each partition size — the search cost fn.
+    * The sample's block sums are taken once, and one [[LineFit]] serves
+    * every partition of every size.
+    */
+  val costAt: SizeCost = new SizeCost(Codec.LinearHeaderBytes) {
+    def on(sample: Array[Long]): Int => Long = {
+      val blocks = LineFit.blockSums(sample)
+      val line = new LineFit
+      size => Partitioner.fixedCost(sample, size) { (s, e) =>
+        Codec.LinearHeaderBytes + BitPack.payloadBytes(e - s, line.fit(sample, s, e, blocks).width)
+      }
     }
   }
 }
@@ -178,5 +215,5 @@ final class LecoVarCodec(val tau: Double = 0.1) extends IntCodec {
   val name = "LeCo-var"
 
   def compress(values: Array[Long]): VariablePartitions[LecoPartition] = VariablePartitions.encode(
-    values, Partitioner.variable(values, Partitioner.LinearMode, tau))(LecoPartition.encode)
+    values, Partitioner.variable(values, Partitioner.LinearMode, tau))(LecoPartition.encoder(linear = true))
 }

@@ -11,6 +11,20 @@ final case class Partitions(starts: Array[Int], n: Int) {
   def end(k: Int): Int = if (k + 1 < starts.length) starts(k + 1) else n
 }
 
+/** The cost function of the fixed-size search: the encoded bytes of a sample
+  * in partitions of a given size, layout prefix included. `on(sample)` does
+  * whatever work depends on the sample alone once, for every candidate size.
+  */
+abstract class SizeCost(val headerBytes: Int) extends ((Array[Long], Int) => Long) {
+  def on(sample: Array[Long]): Int => Long
+  def apply(sample: Array[Long], size: Int): Long = on(sample)(size)
+
+  /** A floor under the cost of `n` values at `size`: the prefix and every
+    * partition's `headerBytes`, before any payload.
+    */
+  def floor(n: Int, size: Int): Long = PartitionedInts.PrefixBytes + headerBytes.toLong * ((n + size - 1) / size)
+}
+
 /** The LeCo Partitioner (§3.2): fixed-length with sampling-based size search
   * and variable-length via the greedy split/merge algorithm.
   */
@@ -131,21 +145,30 @@ object Partitioner {
     * compressed byte count of the sample at that partition size.
     */
   def searchFixedSize(values: Array[Long],
-                      cost: (Array[Long], Int) => Long,
+                      cost: SizeCost,
                       maxSize: Int = 65536,
                       sampleTarget: Int = 65536,
                       seed: Long = 42): Int = {
     val sample = sampleOf(values, sampleTarget, seed)
+    val costAt = cost.on(sample)
     val ladder = Iterator.iterate(16)(_ * 2).takeWhile(s => s <= math.min(maxSize, sample.length)).toArray
     val sizes  = if (ladder.isEmpty) Array(math.max(1, sample.length)) else ladder
-    val costs  = sizes.map(s => cost(sample, s))
-    var bi = 0
-    var i  = 1
-    while (i < costs.length) { if (costs(i) < costs(bi)) bi = i; i += 1 }
+    // The ladder minimum, the smallest size of equal cost. Sizes go largest
+    // first, so that one whose headers alone outweigh the best cost so far
+    // is passed over unencoded: it cannot be the minimum.
+    var best = 0; var bestCost = Long.MaxValue
+    var i = sizes.length - 1
+    while (i >= 0) {
+      if (cost.floor(sample.length, sizes(i)) <= bestCost) {
+        val c = costAt(sizes(i))
+        if (c <= bestCost) { best = sizes(i); bestCost = c }
+      }
+      i -= 1
+    }
     // Refine: probe midpoints toward each neighbor of the ladder minimum.
-    var best = sizes(bi); var bestCost = costs(bi)
-    for (cand <- Seq(best * 3 / 4, best * 3 / 2) if cand >= 8 && cand <= sample.length) {
-      val c = cost(sample, cand)
+    for (cand <- Seq(best * 3 / 4, best * 3 / 2)
+         if cand >= 8 && cand <= sample.length && cost.floor(sample.length, cand) < bestCost) {
+      val c = costAt(cand)
       if (c < bestCost) { best = cand; bestCost = c }
     }
     best
@@ -154,15 +177,16 @@ object Partitioner {
   /** `size` when it is positive, otherwise the size `searchFixedSize` finds
     * under `cost`.
     */
-  def fixedSize(values: Array[Long], size: Int, cost: (Array[Long], Int) => Long): Int =
-    if (size > 0) size else searchFixedSize(values, cost)
+  def fixedSize(values: Array[Long], size: Int, cost: SizeCost, maxSize: Int = 65536): Int =
+    if (size > 0) size else searchFixedSize(values, cost, maxSize)
 
-  /** Sum of `cost(from, until)` over consecutive `size`-value partitions of
-    * `values` — the shape of every fixed-size search cost fn.
+  /** The layout prefix plus `cost(from, until)` over consecutive
+    * `size`-value partitions of `values`: the shape of every fixed-size
+    * search cost fn, and the `sizeBytes` of their `FixedPartitions`.
     */
   def fixedCost(values: Array[Long], size: Int)(cost: (Int, Int) => Long): Long = {
     require(size > 0, s"partition size $size")
-    var total = 0L
+    var total = PartitionedInts.PrefixBytes.toLong
     var s = 0
     while (s < values.length) { val e = math.min(s + size, values.length); total += cost(s, e); s = e }
     total
@@ -176,6 +200,9 @@ object Partitioner {
     }
   }
 
+  /** Values per window of [[sampleOf]]. */
+  val SampleWindow = 8192
+
   /** Contiguous-window sample of ~`target` values: `target / 8192` windows of
     * 8192 values at seeded random starts. Inputs of at most `target` values
     * are used whole. With the default 65,536 this is far from the paper's
@@ -184,7 +211,7 @@ object Partitioner {
   def sampleOf(values: Array[Long], target: Int, seed: Long): Array[Long] = {
     val n = values.length
     if (n <= target) return values
-    val window  = 8192
+    val window  = SampleWindow
     val nWin    = math.max(1, target / window)
     val len     = math.min(window, n)
     val rnd     = new scala.util.Random(seed)

@@ -76,8 +76,20 @@ final class DeltaFixCodec(val partitionSize: Int = 0) extends IntCodec {
 }
 
 object DeltaFixCodec {
-  def costAt(sample: Array[Long], l: Int): Long =
-    Partitioner.fixedCost(sample, l)(DeltaPartition.encode(sample, _, _).sizeBytes)
+  /** A partition's width is that of its largest zigzag diff, which the OR
+    * of its diffs shares; the sample's diffs are zigzagged once.
+    */
+  val costAt: SizeCost = new SizeCost(Codec.SimpleHeaderBytes) {
+    def on(sample: Array[Long]): Int => Long = {
+      val z = Array.tabulate(sample.length)(k => if (k == 0) 0L else DeltaPartition.zigzag(sample(k) - sample(k - 1)))
+      size => Partitioner.fixedCost(sample, size) { (s, e) =>
+        var bits = 0L
+        var k = s + 1
+        while (k < e) { bits |= z(k); k += 1 }
+        Codec.SimpleHeaderBytes + BitPack.payloadBytes(e - s - 1, BitPack.bitsFor(bits))
+      }
+    }
+  }
 }
 
 /** Delta Encoding with LeCo's variable-length Partitioner in Delta mode

@@ -26,9 +26,11 @@ object EliasFanoCodec {
     while (i < values.length) { if (values(i) < values(i - 1)) return false; i += 1 }
     true
   }
-  def costAt(sample: Array[Long], l: Int): Long = {
-    val sorted = if (isSorted(sample)) sample else sample.sorted
-    Partitioner.fixedCost(sorted, l)(EfPartition.encodedBytes(sorted, _, _))
+  val costAt: SizeCost = new SizeCost(EfPartition.HeaderBytes) {
+    def on(sample: Array[Long]): Int => Long = {
+      val sorted = if (isSorted(sample)) sample else sample.sorted
+      size => Partitioner.fixedCost(sorted, size)(EfPartition.encodedBytes(sorted, _, _))
+    }
   }
 }
 

@@ -12,14 +12,16 @@ final class ForCodec(val partitionSize: Int = 0) extends IntCodec {
   val name = "FOR"
 
   def compress(values: Array[Long]): LecoFixCompressed = FixedPartitions.encode(
-    values, Partitioner.fixedSize(values, partitionSize, ForCodec.costAt))(LecoPartition.encodeConstant)
+    values, Partitioner.fixedSize(values, partitionSize, ForCodec.costAt))(LecoPartition.encoder(linear = false))
 }
 
 object ForCodec {
-  def costAt(sample: Array[Long], l: Int): Long = {
-    val line = new LineFit
-    Partitioner.fixedCost(sample, l) { (s, e) =>
-      Codec.SimpleHeaderBytes + BitPack.payloadBytes(e - s, line.window(sample, s, e, 0.0).width)
+  val costAt: SizeCost = new SizeCost(Codec.SimpleHeaderBytes) {
+    def on(sample: Array[Long]): Int => Long = {
+      val line = new LineFit
+      size => Partitioner.fixedCost(sample, size) { (s, e) =>
+        Codec.SimpleHeaderBytes + BitPack.payloadBytes(e - s, line.window(sample, s, e, 0L, 0).width)
+      }
     }
   }
 }

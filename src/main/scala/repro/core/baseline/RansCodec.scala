@@ -110,10 +110,14 @@ object Rans {
     out.toArray
   }
 
-  /** Decode `count` values from an encoded block into `out(outOff...)`. */
+  /** Decode `count` values from an encoded block into `out(outOff...)`.
+    * Returns whether those values are the whole block: the decode read every
+    * byte and left the state at `Low`, where the encoder started it. A
+    * decode that would read before the block's start stops and returns false.
+    */
   def decodeBlock(block: Array[Byte], count: Int, bpv: Int,
                   freq: Array[Int], cum: Array[Int], slotSym: Array[Byte],
-                  out: Array[Long], outOff: Int): Unit = {
+                  out: Array[Long], outOff: Int): Boolean = {
     var p = block.length - 1
     var x = 0L
     x = (x << 8) | (block(p) & 0xffL); p -= 1
@@ -128,13 +132,17 @@ object Rans {
         val slot = (x & (ProbScale - 1)).toInt
         val sym  = slotSym(slot) & 0xff
         x = freq(sym) * (x >> ProbBits) + slot - cum(sym)
-        while (x < Low) { x = (x << 8) | (block(p) & 0xffL); p -= 1 }
+        while (x < Low) {
+          if (p < 0) return false
+          x = (x << 8) | (block(p) & 0xffL); p -= 1
+        }
         v |= (sym.toLong << (8 * b))
         b -= 1
       }
       out(outOff + i) = v
       i += 1
     }
+    p == -1 && x == Low
   }
 
   def slotTable(freq: Array[Int], cum: Array[Int]): Array[Byte] = {
@@ -176,13 +184,22 @@ final class RansCompressed(val n: Int, val bpv: Int, val blockValues: Int,
 
   def decompressAll(): Array[Long] = {
     val out = new Array[Long](n)
+    decodeBlocks(out)
+    out
+  }
+
+  /** Decodes every block into `out`; returns the first block whose values
+    * are not the whole block, or -1.
+    */
+  private def decodeBlocks(out: Array[Long]): Int = {
+    var bad = -1
     var blk = 0; var off = 0
     while (blk < blocks.length) {
       val count = math.min(blockValues, n - off)
-      Rans.decodeBlock(blocks(blk), count, bpv, freq, cum, slotSym, out, off)
+      if (!Rans.decodeBlock(blocks(blk), count, bpv, freq, cum, slotSym, out, off) && bad < 0) bad = blk
       off += count; blk += 1
     }
-    out
+    bad
   }
 }
 
@@ -191,7 +208,8 @@ object RansCompressed {
   val HeaderBytes: Int = 4 + 1 + 4 + 256 * 2
 
   /** Reads the layout to the end of `buf`: every byte after the header
-    * belongs to a block.
+    * belongs to a block, and each block must decode to exactly its share of
+    * `n`, so an `n` wrong by less than a block is rejected too.
     */
   def read(buf: ByteBuffer): RansCompressed = {
     val n = buf.getInt; val bpv = buf.get() & 0xff; val blockValues = buf.getInt
@@ -214,6 +232,9 @@ object RansCompressed {
     }
     val want = (n + blockValues - 1L) / blockValues
     require(blocks.length == want, s"rANS holds ${blocks.length} blocks, expected $want for $n values")
-    new RansCompressed(n, bpv, blockValues, freq, blocks.toArray)
+    val c = new RansCompressed(n, bpv, blockValues, freq, blocks.toArray)
+    val bad = c.decodeBlocks(new Array[Long](n))
+    require(bad < 0, s"rANS block $bad does not decode to exactly ${math.min(blockValues.toLong, n - bad.toLong * blockValues)} values")
+    c
   }
 }

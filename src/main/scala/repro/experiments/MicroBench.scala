@@ -38,6 +38,11 @@ object MicroBench {
 
   def nanosOf(f: => Unit): Long = { val t0 = System.nanoTime(); f; System.nanoTime() - t0 }
 
+  /** Runs per timed throughput figure (compress, decompress), of which the median counts. */
+  val TimedRuns = 7
+
+  def medianOf(runs: Int)(ns: => Long): Long = Seq.fill(runs)(ns).sorted.apply(runs / 2)
+
   @volatile var sink: Long = 0 // defeat dead-code elimination
 
   def measure(ds: IntDataset, scheme: String, accessCount: Int = 200_000): Option[Measurement] =
@@ -48,8 +53,8 @@ object MicroBench {
       val decoded = compressed.decompressAll()
       require(java.util.Arrays.equals(decoded, ds.values),
               s"$scheme roundtrip mismatch on ${ds.name}")
-      val compNs = Seq.fill(3)(nanosOf { sink += codec.compress(ds.values).n }).sorted.apply(1)
-      val decompNs = nanosOf { sink += compressed.decompressAll()(ds.values.length - 1) }
+      val compNs = medianOf(TimedRuns)(nanosOf { sink += codec.compress(ds.values).n })
+      val decompNs = medianOf(TimedRuns)(nanosOf { sink += compressed.decompressAll()(ds.values.length - 1) })
       // rANS/Delta random access is slow; cap the probe count for them
       val probes =
         if (scheme == "rANS" || scheme.startsWith("Delta")) math.min(accessCount, 2000)

@@ -93,6 +93,9 @@ class ByteLayoutSpec extends AnyFunSuite {
     val len0  = freq0 + 256 * 2
     assert(error(_.putInt(0, 2 * PartSize)).endsWith("rANS holds 4 blocks, expected 2 for 128 values"))
     assert(error(_.putInt(0, 4 * PartSize + 1)).endsWith("rANS holds 4 blocks, expected 5 for 257 values"))
+    // an n wrong by less than a block: the last block decodes too few or too many values
+    for (n <- Seq(199, 195, 193, 201, 220))
+      assert(error(_.putInt(0, n)).endsWith(s"rANS block 3 does not decode to exactly ${n - 3 * PartSize} values"), n)
     for (bpv <- Seq(0, 9)) assert(error(_.put(4, bpv.toByte)).endsWith(s"rANS width $bpv bytes per value, not 1..8"))
     assert(error(_.putInt(5, 0)).endsWith("rANS block of 0 values"))
     assert(error(b => b.putShort(freq0, (b.getShort(freq0) + 1).toShort))

@@ -56,27 +56,27 @@ class GoldenBytesSpec extends AnyFunSuite {
   )) { vs => val c = new DeltaFixCodec().compress(vs); (c.partSize, c) }
 
   pinned("LeCo-fix", Map(
-    "linear"      -> (8192, "5115429900bf10a8a4a1b6d92049ea1e2158b8504b90539915b0894c42e5a02b"),
-    "normal"      -> (256,  "919564c8041835e1d0043c3a7895968f6a8839b5d2d350d22384c50fd334ef38"),
-    "poisson"     -> (512,  "0078ba14eea59235ba00f1827e41fb1e3092e1f6a83242b45a895c233dbfbe60"),
-    "ml"          -> (96,   "64efb16ea8fea14c725315796d230322cbfa6fef7c131df640c96a3fd9adc20c"),
-    "booksale"    -> (1024, "1e17bbe659e7d2a922973d072e1fce48a0cee4d6d08cc2517e06223ae614d37d"),
-    "facebook"    -> (128,  "9af60510082b5be619dd7dff49274406f1a9879e1b81483fc2194d9c8c16438e"),
-    "wiki"        -> (256,  "4d154fd9060f3457c1cff29316d26bd9c49e6dd40b8facf121f9138c543d208a"),
-    "movieid"     -> (64,   "67421e1748e1df66394151f678010beadf14b035c89bc9b7445a5d8887e0e337"),
-    "house_price" -> (48,   "ff5988815cc27910c306a35e7955be88c08a08943876fdf6b84a947e368c64d4"),
+    "linear"      -> (4096, "03a832be8aaae7d4cf7d00588374ddab3a1bc41c9f0a28270a8c6cd661b013d8"),
+    "normal"      -> (256,  "5afe468f0ca6c59c84c7845b04f7d0cd92498646b923de627299ebeb87ef6bdf"),
+    "poisson"     -> (512,  "98e6ea5d41e5ec74a35042e0a73a577f79cb12759fc1ce8f3439a9b22aa5684c"),
+    "ml"          -> (96,   "dc005ae545aa216d6261aad39d85fcce1e56c2403eaef8b5717786a47ffc4e44"),
+    "booksale"    -> (1024, "f2dc68e80806239c66155206b6244f328c1cc098894c0ad2f884159f82d12c01"),
+    "facebook"    -> (128,  "f4bafcb20aac54bbbda5c031fcbeadeb8e498effd1cc87c6ea978d33737f4e83"),
+    "wiki"        -> (256,  "33ac9e66639c6d489c222ea065f3a772aa1d8bf0489760410fac6890c6c6bbd6"),
+    "movieid"     -> (64,   "221846ac6b58bd8ea675d637b7950038f9c4019129401a63ce883137ed930d36"),
+    "house_price" -> (48,   "459b8bcbacdb8e77a1ff81abcafb95c3ffa3958735ff827b7287a1b1b1b34bd0"),
   )) { vs => val c = new LecoFixCodec().compress(vs); (c.partSize, c) }
 
   pinned("LeCo-var", Map(
-    "linear"      -> (1,  "4950d0760b817d0b46b0eb3f25ab6404828946a15f1e5c3471135b55e5b9e5ca"),
-    "normal"      -> (50, "33433637fcd8ec479980910b5da43976c6f825f150f4b8381e9b2a4fb2ba2465"),
-    "poisson"     -> (22, "33c9078652610e6b5bf60e6db96c8e7610a28ba7c1fb7b85bb1c993e39514cf6"),
-    "ml"          -> (1,  "50b62201d285cd08f3950d002dbc82657e3b9be1f7d84213b9ca9d4433cf7c48"),
-    "booksale"    -> (86, "3e5b33baeafccf99836a7fed2262264e180a530848069dac4cfd4077aef0f2fc"),
-    "facebook"    -> (46, "e323c6a527fe03ebc32d2f9b029352286909c4e6b4c50a18e52bba8f9e08f8d3"),
-    "wiki"        -> (61, "4e9b073a4b1c464e18ffbaf074433ec61a55ca9c5c33aa14cffaaff6ea65b44b"),
-    "movieid"     -> (95, "45121208b8be005a0225561b71ad0d7512b1f5eebcddcaa9d0dfa53d3cecdcb6"),
-    "house_price" -> (2,  "a7de2b99466bd36e530c91a40e1fc8c781e674cf2effdd996923b08220d21fcd"),
+    "linear"      -> (1,  "0b5cd8771f9668ac66c7f17d41170d7c913be48583e120d147544af14c01ff98"),
+    "normal"      -> (50, "78c3e48abbcfb5b3a419d25ffc28bc1ea298dc8d185c1c525bfdf04d5d1bcc5e"),
+    "poisson"     -> (22, "c87576b4aec7310d435c6b77a8f1043deb22df0136a76c323a6aaaadd07c98dd"),
+    "ml"          -> (1,  "863c06fc727b005640c51505655471699bb913465953c3b261b4441626597eb4"),
+    "booksale"    -> (86, "8b8918683cc00c3444118f5e7ef083046ea6f20eb0c3b6d7a5f20772783c1a86"),
+    "facebook"    -> (46, "d6f56033f30b621937c65cd2f50b81e555403bc69cd367a1423642af4355fc61"),
+    "wiki"        -> (61, "ff3aa2561725dd02891f666a53d8cc58a5598ce7c2917173dbe1feea1b794518"),
+    "movieid"     -> (95, "51ebd5928d99fba2a4fa765c5251d169cc1ad85d85078f9fea251f7ee75ff18f"),
+    "house_price" -> (2,  "010de69d656c393af7deb7ed39dda8efbecbf115dd8e0385b000b8cfcf7b8132"),
   )) { vs => val c = new LecoVarCodec().compress(vs); (c.starts.length, c) }
 
   pinned("Delta-var", Map(

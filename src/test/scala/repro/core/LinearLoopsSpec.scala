@@ -6,35 +6,45 @@ import org.scalacheck.util.Pretty
 import org.scalatest.Assertions
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The fit, window and encode loops carry the position as a `Double` counter.
-  * These properties check them bit for bit against [[LinearLoopsSpec.IntPosition]],
-  * a copy of the same loops written with an `Int` position converted per
-  * value, on lengths from 1 to 65,536 and values that are smooth, noisy,
-  * near ±2^52 and falling.
+/** The fit, window, encode and search cost run the integer model in `Long`
+  * arithmetic. These properties check them against [[LinearLoopsSpec.Reference]],
+  * which evaluates the same model, `anchor + floor((slope·j + phase) / 2^shift)`,
+  * in `BigInt`, on lengths from 1 to 65,536 and values that are smooth,
+  * noisy, near ±2^52 and falling.
   */
 class LinearLoopsSpec extends AnyFunSuite {
   import LinearLoopsSpec._
 
-  test("fitLinear and linearDeltaBits have the bits of the Int-position loops") {
+  test("fitLinear and linearDeltaBits match a BigInt evaluation of the model") {
     check(Prop.forAllNoShrink(partition) { case Part(vs, from, until) =>
-      val (fit, ref) = (Regressor.fitLinear(vs, from, until), IntPosition.fitLinear(vs, from, until))
-      fit.anchor == ref.anchor && bits(fit.theta1) == bits(ref.theta1) && fit.bitWidth == ref.bitWidth &&
-        Regressor.linearDeltaBits(vs, from, until) == ref.bitWidth
+      val fit = Regressor.fitLinear(vs, from, until)
+      val ref = Reference.window(vs, from, until, fit.slope, fit.shift, fit.phase)
+      val unphased = Reference.window(vs, from, until, fit.slope, fit.shift, 0L)
+      Reference.withinLimits(fit.slope, fit.shift, fit.phase, until - from) &&
+        fit.anchor == ref.anchor && fit.bitWidth == ref.width &&
+        Regressor.linearDeltaBits(vs, from, until) == ref.width &&
+        // a phase is kept only where it narrows the width, by one bit
+        (if (fit.phase == 0) true else unphased.width == ref.width + 1)
     })
   }
 
-  test("LecoPartition.encode has the theta bits, width, words and corrections of the Int-position loop") {
+  test("LecoPartition.encode packs the BigInt model's deltas") {
     check(Prop.forAllNoShrink(partition) { case Part(vs, from, until) =>
-      val (a, b) = (LecoPartition.encode(vs, from, until), IntPosition.encode(vs, from, until))
-      a.anchor == b.anchor && bits(a.theta1) == bits(b.theta1) && a.linear && a.width == b.width &&
-        a.len == b.len && a.words.sameElements(b.words) && a.corrections.isEmpty
+      val (p, fit) = (LecoPartition.encode(vs, from, until), Regressor.fitLinear(vs, from, until))
+      val ref = Reference.window(vs, from, until, p.slope, p.shift, p.phase)
+      val out = new Array[Long](until - from)
+      p.decodeInto(out, 0)
+      (p.anchor, p.slope, p.shift, p.phase, p.width) == ((fit.anchor, fit.slope, fit.shift, fit.phase, fit.bitWidth)) &&
+        p.linear && p.len == until - from && p.anchor == ref.anchor && p.width == ref.width &&
+        p.words.sameElements(BitPack.pack(ref.deltas, ref.width)) && out.sameElements(vs.slice(from, until))
     })
   }
 
-  test("LecoFixCodec.costAt matches the cost summed from Int-position fits") {
+  test("LecoFixCodec.costAt sums the widths of the BigInt model") {
     check(Prop.forAllNoShrink(partition, Gen.oneOf(16, 48, 64, 1024)) { case (Part(vs, _, _), l) =>
       val ref = Partitioner.fixedCost(vs, l) { (s, e) =>
-        Codec.LinearHeaderBytes + BitPack.payloadBytes(e - s, IntPosition.fitLinear(vs, s, e).bitWidth)
+        val fit = Regressor.fitLinear(vs, s, e)
+        Codec.LinearHeaderBytes + BitPack.payloadBytes(e - s, Reference.window(vs, s, e, fit.slope, fit.shift, fit.phase).width)
       }
       LecoFixCodec.costAt(vs, l) == ref
     })
@@ -42,8 +52,6 @@ class LinearLoopsSpec extends AnyFunSuite {
 }
 
 object LinearLoopsSpec {
-  def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
-
   /** `values(from until until)`: the partition, after 0–3 values of padding. */
   final case class Part(values: Array[Long], from: Int, until: Int) {
     override def toString: String = s"Part(n=${until - from}, from=$from, head=${values.slice(from, from + 4).mkString(",")})"
@@ -77,45 +85,27 @@ object LinearLoopsSpec {
     Assertions.assert(res.passed, Pretty.pretty(res))
   }
 
-  /** The fit, window and encode loops with the position as an `Int` that is
-    * converted to a `Double` at every value.
-    */
-  object IntPosition {
-    def fitLinear(values: Array[Long], from: Int, until: Int): Fit = {
-      val n = until - from
-      val sumX  = n.toDouble * (n - 1) / 2.0
-      val sumXX = (n - 1).toDouble * n * (2L * n - 1) / 6.0
-      var sumY  = 0.0
-      var sumXY = 0.0
-      var i = 0
-      while (i < n) {
-        val y = values(from + i).toDouble
-        sumY += y; sumXY += i * y
-        i += 1
-      }
-      val denom  = n * sumXX - sumX * sumX
-      val theta1 = if (denom == 0) 0.0 else (n * sumXY - sumX * sumY) / denom
-      var dMin = Long.MaxValue; var dMax = Long.MinValue
-      i = 0
-      while (i < n) {
-        val d = values(from + i) - math.floor(theta1 * i).toLong
-        if (d < dMin) dMin = d
-        if (d > dMax) dMax = d
-        i += 1
-      }
-      Fit(dMin, theta1, BitPack.bitsFor(dMax - dMin))
-    }
+  /** The window of a partition: its anchor, width and packed deltas. */
+  final case class Window(anchor: Long, width: Int, deltas: Array[Long])
 
-    def encode(values: Array[Long], from: Int, until: Int): LecoPartition = {
-      val fit   = fitLinear(values, from, until)
-      val n     = until - from
-      val words = new Array[Long](BitPack.wordsFor(n, fit.bitWidth))
-      var j = 0
-      while (j < n) {
-        BitPack.write(words, j.toLong * fit.bitWidth, fit.bitWidth, values(from + j) - fit.predict(j))
-        j += 1
-      }
-      LecoPartition(fit.anchor, fit.theta1, linear = true, fit.bitWidth, n, words)
+  /** The integer model in `BigInt`: nothing wraps but the 64-bit deltas. */
+  object Reference {
+    private val Two64 = BigInt(1) << 64
+
+    /** `x` wrapped into the signed 64-bit range, as `Long` arithmetic leaves it. */
+    def wrap(x: BigInt): BigInt = { val r = x.mod(Two64); if (r >= (Two64 >> 1)) r - Two64 else r }
+
+    /** The fixed-point limits every partition header obeys. */
+    def withinLimits(slope: Long, shift: Int, phase: Long, n: Int): Boolean =
+      shift >= 0 && shift <= 62 && phase >= 0 && BigInt(phase) < (BigInt(1) << shift) &&
+        BigInt(slope).abs * (n - 1) <= (BigInt(1) << 62)
+
+    /** `v(j) − floor((slope·j + phase) / 2^shift)`, wrapped, less its minimum. */
+    def window(values: Array[Long], from: Int, until: Int, slope: Long, shift: Int, phase: Long): Window = {
+      val d = Array.tabulate(until - from)(j => wrap(BigInt(values(from + j)) - ((BigInt(slope) * j + phase) >> shift)))
+      val anchor = d.min
+      val deltas = d.map(_ - anchor)
+      Window(anchor.toLong, deltas.max.bitLength, deltas.map(_.toLong))
     }
   }
 }

@@ -70,7 +70,7 @@ class RegressorSpec extends AnyFunSuite {
     val vals = Array(17L, 3L, 9L, 30L)
     val p = LecoPartition.encodeConstant(vals, 0, 4)
     assert(p.anchor == 3L)
-    assert(p.theta1 == 0.0)
+    assert(p.slope == 0)
     assert(p.width == BitPack.bitsFor(27))
   }
 
@@ -93,7 +93,7 @@ class RegressorSpec extends AnyFunSuite {
     val vals = Array.tabulate(100)(i => 100000L - 13L * i)
     val fit = Regressor.fitLinear(vals, 0, vals.length)
     assert(fit.bitWidth == 0)
-    assert(fit.theta1 < 0)
+    assert(fit.slope < 0)
   }
 
   test("negative values are handled") {
