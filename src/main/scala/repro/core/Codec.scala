@@ -103,7 +103,8 @@ trait IntCodec {
 /** Shared helpers for per-partition formats. */
 object Codec {
   /** Header of a LeCo partition as `LecoPartition.writeTo` writes it: the
-    * partition length (4B), the anchor (8B), the delta bit width (1B) and θ1 (f64).
+    * partition length (4B), the anchor (8B), the delta bit width (1B) and the
+    * model word (8B) that packs the fixed-point slope, its phase and shift.
     */
   val LinearHeaderBytes: Int = 4 + 8 + 1 + 8
   /** Header of a FOR / Delta partition as `LecoPartition.writeTo` and

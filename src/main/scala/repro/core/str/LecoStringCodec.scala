@@ -1,7 +1,7 @@
 package repro.core.str
 
-import java.math.BigInteger
-import repro.core.{BitPack, Codec}
+import java.nio.{BufferUnderflowException, ByteBuffer}
+import repro.core.{BitPack, LecoPartition, LineFit}
 
 /** A compressed string column chunk (shape mirrors [[repro.core.CompressedInts]]). */
 trait CompressedStrings {
@@ -23,15 +23,17 @@ trait StringCodec {
 /** LeCo's string extension (§3.4): per fixed-length partition —
   *
   *  1. extract the common prefix into the header;
-  *  2. map each remaining suffix to an order-preserving big integer over the
-  *     partition's character set (exact base M, or M rounded up to a power
-  *     of two so decode uses shifts instead of div/mod);
-  *  3. pad to the partition's max suffix length, choosing the padding
-  *     adaptively against the regression prediction so in-range predictions
-  *     store a zero delta;
-  *  4. fit the linear Regressor on the mapped integers (double-precision
-  *     model, arbitrary-precision deltas) and bit-pack per-value suffix
-  *     lengths alongside a fixed byte-width biased delta array.
+  *  2. map each remaining suffix to order-preserving digits over the
+  *     partition's sorted character set (exact base M, or M rounded up to a
+  *     power of two so decode uses shifts instead of div/mod);
+  *  3. cut the digits into limbs of `D` digits, `D` the most with
+  *     `base^D <= Long.MaxValue`, so that each limb is a non-negative `Long`;
+  *  4. per limb, fit the integer LeCo model on the min-padded values and pad
+  *     adaptively: a suffix that ends before a limb's last digit may take any
+  *     value between its min- and max-padded ones, so it takes the one
+  *     nearest the middle of the deltas' packed width, which keeps the width.
+  *     Each limb column is one [[LecoPartition]];
+  *  5. bit-pack the per-value suffix lengths.
   */
 final class LecoStringCodec(val partitionSize: Int = 256, val powerOfTwoBase: Boolean = false)
     extends StringCodec {
@@ -46,102 +48,92 @@ final class LecoStringCodec(val partitionSize: Int = 256, val powerOfTwoBase: Bo
       parts += StringPartition.encode(values, s, e, powerOfTwoBase)
       s = e
     }
-    new LecoStringCompressed(n, partitionSize, parts.toArray)
+    new LecoStringCompressed(n, partitionSize, powerOfTwoBase, parts.toArray)
   }
 }
 
-/** One encoded string partition. `alphabet` lists the partition's characters
-  * in sorted order (rank = digit value, order-preserving); `base` is the
-  * radix actually used (alphabet.length, or the next power of two).
+/** One encoded string partition of `len` values. `alphabet` lists the
+  * partition's characters in ascending order (rank = digit value); `base`
+  * is the radix, `alphabet.length` or the next power of two. Suffix `j`
+  * is the first `lens(j)` of `maxLen` digits; limb `k` holds digits
+  * `k·D until (k + 1)·D`, so `get` decodes only the limbs its length covers.
+  * Below base 2 a digit carries nothing, the lengths alone hold the suffixes
+  * and there are no limbs.
+  *
+  * Byte layout: the prefix and the alphabet, each as its character count
+  * and then its characters, every count and character an unsigned LEB128
+  * varint (one byte in ASCII); `[maxLen:varint]`; the lengths as a
+  * `BitPack` payload at width `bitsFor(maxLen)`; each limb's
+  * [[LecoPartition]] bytes.
   */
-final case class StringPartition(prefix: String, alphabet: Array[Char], base: Int,
-                                 maxLen: Int, len: Int,
-                                 theta0: Double, theta1: Double,
-                                 bias: BigInteger, deltaWidth: Int, deltas: Array[Byte],
-                                 lenWidth: Int, lens: Array[Long]) {
-  private val baseBig = BigInteger.valueOf(base)
+final class StringPartition(val prefix: String, alphabet: String, pow2: Boolean, maxLen: Int,
+                            val len: Int, lens: Array[Long], val limbs: Array[LecoPartition]) {
+  import StringPartition._
+
+  val base: Int = baseOf(alphabet.length, pow2)
+  private val letters = alphabet.toCharArray
+  private val lenWidth = BitPack.bitsFor(maxLen)
+  private val digits = limbDigits(base)
+  /** `base^i` for `i <= digits`. */
+  private val pows = Array.iterate(1L, digits + 1)(_ * base)
   private val pow2Shift = if (Integer.bitCount(base) == 1) Integer.numberOfTrailingZeros(base) else -1
 
-  /** Fast path: when the mapped integers fit comfortably in a Long, decode
-    * with primitive arithmetic (the paper's implementation uses machine
-    * ints; BigInteger is only the fallback for very long strings).
-    */
-  private val fitsLong: Boolean = {
-    var bound = 1.0
-    var k = 0
-    while (k < maxLen) { bound *= base; k += 1 }
-    bound < 4.0e18 && deltaWidth <= 7 && bias.bitLength < 61
-  }
-  private val biasLong: Long = if (fitsLong) bias.longValue() else 0L
-
-  @inline private def predict(j: Int): BigInteger =
-    new java.math.BigDecimal(theta0 + theta1 * j).toBigInteger
-
-  private def deltaAt(j: Int): BigInteger = {
-    if (deltaWidth == 0) return BigInteger.ZERO
-    val b = new Array[Byte](deltaWidth + 1) // leading 0 keeps it non-negative
-    System.arraycopy(deltas, j * deltaWidth, b, 1, deltaWidth)
-    new BigInteger(b)
-  }
-
   def get(j: Int): String = {
-    if (fitsLong) return getFast(j)
-    val v    = predict(j).add(bias).add(deltaAt(j))
     val sLen = BitPack.read(lens, j, lenWidth).toInt
-    val sb   = new StringBuilder(prefix)
-    // Peel off digits most-significant first: digit k of a maxLen-digit number.
-    var rest = v
-    val digits = new Array[Int](maxLen)
-    var k = maxLen - 1
-    while (k >= 0) {
+    val p = prefix.length
+    val out = new Array[Char](p + sLen)
+    prefix.getChars(0, p, out, 0)
+    var at = 0 // digits written
+    if (limbs.isEmpty) while (at < sLen) { out(p + at) = letters(0); at += 1 }
+    var k = 0
+    while (at < sLen) {
+      val inLimb = math.min(digits, maxLen - at)
+      val need = math.min(inLimb, sLen - at)
+      var v = limbs(k).get(j)
+      var d = p + at + need // digits are peeled least significant first
       if (pow2Shift >= 0) {
-        digits(k) = rest.intValue() & (base - 1)
-        rest = rest.shiftRight(pow2Shift)
+        v >>>= pow2Shift * (inLimb - need)
+        while (d > p + at) { d -= 1; out(d) = letters((v & (base - 1)).toInt); v >>>= pow2Shift }
       } else {
-        val qr = rest.divideAndRemainder(baseBig)
-        digits(k) = qr(1).intValue()
-        rest = qr(0)
+        v /= pows(inLimb - need)
+        while (d > p + at) { d -= 1; out(d) = letters((v % base).toInt); v /= base }
       }
-      k -= 1
-    }
-    var d = 0
-    while (d < sLen) { sb += alphabet(math.min(digits(d), alphabet.length - 1)); d += 1 }
-    sb.toString
-  }
-
-  /** Primitive-arithmetic decode; bit-identical to the BigInteger path
-    * (same double truncation, same biased delta).
-    */
-  private def getFast(j: Int): String = {
-    var delta = 0L
-    var k = j * deltaWidth
-    val end = k + deltaWidth
-    while (k < end) { delta = (delta << 8) | (deltas(k) & 0xffL); k += 1 }
-    var v = (theta0 + theta1 * j).toLong + biasLong + delta
-    val sLen = BitPack.read(lens, j, lenWidth).toInt
-    val digits = new Array[Int](maxLen)
-    var d = maxLen - 1
-    if (pow2Shift >= 0) {
-      while (d >= 0) { digits(d) = (v & (base - 1)).toInt; v >>= pow2Shift; d -= 1 }
-    } else {
-      while (d >= 0) { digits(d) = (v % base).toInt; v /= base; d -= 1 }
-    }
-    val out = new Array[Char](prefix.length + sLen)
-    prefix.getChars(0, prefix.length, out, 0)
-    d = 0
-    while (d < sLen) {
-      out(prefix.length + d) = alphabet(math.min(digits(d), alphabet.length - 1))
-      d += 1
+      at += need
+      k += 1
     }
     new String(out)
   }
 
   def sizeBytes: Long =
-    Codec.LinearHeaderBytes + 2 + prefix.length + alphabet.length + 1 /*maxLen*/ +
-      deltaWidth /*bias*/ + deltas.length.toLong + (len.toLong * lenWidth + 7) / 8
+    charsBytes(prefix) + charsBytes(alphabet) + varBytes(maxLen) + BitPack.payloadBytes(len, lenWidth) +
+      limbs.iterator.map(_.sizeBytes).sum
+
+  def writeTo(buf: ByteBuffer): Unit = {
+    putChars(buf, prefix)
+    putChars(buf, alphabet)
+    putVar(buf, maxLen)
+    BitPack.putPayload(buf, lens, len, lenWidth)
+    limbs.foreach(_.writeTo(buf))
+  }
 }
 
 object StringPartition {
+  private def baseOf(letters: Int, pow2: Boolean): Int =
+    if (pow2 && letters > 1) Integer.highestOneBit(letters - 1) << 1 else letters
+
+  /** `D`, the most digits with `base^D <= Long.MaxValue`; 0 below base 2. */
+  private def limbDigits(base: Int): Int = {
+    var d = 0
+    var p = 1L
+    if (base >= 2) while (p <= Long.MaxValue / base) { p *= base; d += 1 }
+    d
+  }
+
+  private def limbCount(base: Int, maxLen: Int): Int = {
+    val d = limbDigits(base)
+    if (d == 0) 0 else (maxLen + d - 1) / d
+  }
+
   def encode(values: Array[String], from: Int, until: Int, pow2: Boolean): StringPartition = {
     val n = until - from
     // 1. common prefix
@@ -156,83 +148,141 @@ object StringPartition {
       i += 1
     }
     val suffixes = Array.tabulate(n)(j => values(from + j).substring(prefix.length))
-    val maxLen   = math.max(1, suffixes.iterator.map(_.length).max)
+    val maxLen   = suffixes.iterator.map(_.length).max
     // 2. character set
-    val charSet  = suffixes.iterator.flatten.toSet
-    val alphabet = (if (charSet.isEmpty) Set('a') else charSet).toArray.sorted
-    val exactBase = alphabet.length
-    val base =
-      if (!pow2) exactBase
-      else { var b = 1; while (b < exactBase) b <<= 1; b }
-    val rank = alphabet.zipWithIndex.toMap
-    val baseBig = BigInteger.valueOf(base)
-
-    // 3. min- and max-padded mapped integers per value
-    def mapped(s: String, padDigit: Int): BigInteger = {
-      var v = BigInteger.ZERO
-      var k = 0
-      while (k < maxLen) {
-        val d = if (k < s.length) rank(s.charAt(k)) else padDigit
-        v = v.multiply(baseBig).add(BigInteger.valueOf(d))
-        k += 1
+    val letters  = suffixes.iterator.flatten.toSet.toArray.sorted
+    val base     = baseOf(letters.length, pow2)
+    // 3. limbs, each the min- and max-padded values of its digits
+    val digits   = limbDigits(base)
+    val line = new LineFit(keepDeltas = true)
+    val limbs = Array.tabulate(limbCount(base, maxLen)) { k =>
+      val first = k * digits
+      val end   = math.min(maxLen, first + digits)
+      val vMin = new Array[Long](n)
+      val vMax = new Array[Long](n)
+      var j = 0
+      while (j < n) {
+        val s = suffixes(j)
+        var lo = 0L; var hi = 0L
+        var d = first
+        while (d < end) {
+          if (d < s.length) { val r = java.util.Arrays.binarySearch(letters, s.charAt(d)); lo = lo * base + r; hi = hi * base + r }
+          else { lo *= base; hi = hi * base + base - 1 }
+          d += 1
+        }
+        vMin(j) = lo; vMax(j) = hi
+        j += 1
       }
-      v
+      // 4. the slope of the min-padded values; each value is clamped to the middle of their packed width
+      val fit = line.fit(vMin, 0, n).toFit
+      val mid = (1L << fit.bitWidth) >>> 1
+      val chosen = Array.tabulate(n)(j => math.max(vMin(j), math.min(vMax(j), fit.predict(j) + mid)))
+      line.window(chosen, 0, n, fit.slope, fit.shift).toPartition(linear = fit.slope != 0, n)
     }
-    val vMin = suffixes.map(mapped(_, 0))
-    val vMax = suffixes.map(mapped(_, base - 1))
-
-    // 4. fit on the min-padded values in double space
-    val ys = vMin.map(_.doubleValue())
-    val (t0raw, t1) = lsm(ys)
-    def predictRaw(j: Int): BigInteger = new java.math.BigDecimal(t0raw + t1 * j).toBigInteger
-
-    // adaptive padding: clamp the prediction into [vMin, vMax]
-    val rawDeltas = Array.tabulate(n) { j =>
-      val p = predictRaw(j)
-      if (p.compareTo(vMin(j)) < 0) vMin(j).subtract(p)
-      else if (p.compareTo(vMax(j)) > 0) vMax(j).subtract(p)
-      else BigInteger.ZERO
-    }
-    val bias  = rawDeltas.min
-    val maxRel = rawDeltas.max.subtract(bias)
-    val width  = (maxRel.bitLength + 7) / 8
-    val deltas = new Array[Byte](n * width)
-    var j = 0
-    while (j < n) {
-      val rel = rawDeltas(j).subtract(bias)
-      val src = rel.toByteArray // big-endian two's complement, non-negative
-      val off = (j + 1) * width - math.min(src.length, width)
-      var k = math.max(0, src.length - width)
-      var o = off
-      while (k < src.length) { deltas(o) = src(k); o += 1; k += 1 }
-      j += 1
-    }
-    val lenWidth = BitPack.bitsFor(maxLen.toLong)
-    val lens = new Array[Long](BitPack.wordsFor(n, lenWidth))
-    j = 0
-    while (j < n) { BitPack.write(lens, j.toLong * lenWidth, lenWidth, suffixes(j).length.toLong); j += 1 }
-    StringPartition(prefix, alphabet, base, maxLen, n, t0raw, t1, bias, width, deltas, lenWidth, lens)
+    // 5. lengths
+    val lens = BitPack.pack(suffixes.map(_.length.toLong), BitPack.bitsFor(maxLen))
+    new StringPartition(prefix, new String(letters), pow2, maxLen, n, lens, limbs)
   }
 
-  /** Least-squares fit over positions 0..n-1 (double precision). */
-  private def lsm(ys: Array[Double]): (Double, Double) = {
-    val n = ys.length
-    if (n == 1) return (ys(0), 0.0)
-    val sumX  = n.toDouble * (n - 1) / 2.0
-    val sumXX = (n - 1).toDouble * n * (2L * n - 1) / 6.0
-    var sumY  = 0.0; var sumXY = 0.0
-    var i = 0
-    while (i < n) { sumY += ys(i); sumXY += i * ys(i); i += 1 }
-    val denom = n * sumXX - sumX * sumX
-    val t1    = if (denom == 0) 0.0 else (n * sumXY - sumX * sumY) / denom
-    (sumY / n - t1 * sumX / n, t1)
+  /** Reads a partition of `len` values as `writeTo` writes it. */
+  def read(buf: ByteBuffer, len: Int, pow2: Boolean): StringPartition = {
+    val prefix = getChars(buf)
+    val alphabet = getChars(buf)
+    for (k <- 1 until alphabet.length)
+      require(alphabet(k - 1) < alphabet(k), s"alphabet out of order: '${alphabet(k - 1)}' before '${alphabet(k)}'")
+    val maxLen = getVar(buf)
+    require(maxLen == 0 || alphabet.nonEmpty, s"suffixes of up to $maxLen characters over an empty alphabet")
+    val width = BitPack.bitsFor(maxLen)
+    val lens = BitPack.getPayload(buf, len, width)
+    val longest = BitPack.unpackAll(lens, len, width).max
+    require(longest == maxLen, s"the longest suffix holds $longest characters, the header says $maxLen")
+    val limbs = Array.tabulate(limbCount(baseOf(alphabet.length, pow2), maxLen)) { k =>
+      val limb = LecoPartition.read(buf)
+      require(limb.len == len, s"limb $k holds ${limb.len} values, its partition $len")
+      limb
+    }
+    new StringPartition(prefix, alphabet, pow2, maxLen, len, lens, limbs)
+  }
+
+  /** Bytes of `v` as an unsigned LEB128 varint. */
+  private def varBytes(v: Int): Int = (31 - Integer.numberOfLeadingZeros(v | 1)) / 7 + 1
+
+  private def putVar(buf: ByteBuffer, v: Int): Unit = {
+    var x = v
+    while ((x & ~0x7f) != 0) { buf.put(((x & 0x7f) | 0x80).toByte); x >>>= 7 }
+    buf.put(x.toByte)
+  }
+
+  private def getVar(buf: ByteBuffer): Int = {
+    var x = 0L
+    var shift = 0
+    var b = 0
+    while ({ b = buf.get(); x |= (b & 0x7fL) << shift; shift += 7; b < 0 })
+      require(shift < 35, "a varint of more than 5 bytes")
+    require(x <= Int.MaxValue, s"varint $x is out of range")
+    x.toInt
+  }
+
+  private def charsBytes(s: String): Long = varBytes(s.length) + s.iterator.map(c => varBytes(c)).sum
+
+  private def putChars(buf: ByteBuffer, s: String): Unit = {
+    putVar(buf, s.length)
+    s.foreach(c => putVar(buf, c))
+  }
+
+  private def getChars(buf: ByteBuffer): String = {
+    val count = getVar(buf)
+    require(count <= buf.remaining, s"$count characters cannot fit in ${buf.remaining} bytes")
+    val cs = Array.fill(count) {
+      val c = getVar(buf)
+      require(c <= Char.MaxValue, s"character code $c is out of range")
+      c.toChar
+    }
+    new String(cs)
   }
 }
 
-final class LecoStringCompressed(val n: Int, val partSize: Int,
+/** A LeCo-str column and its byte layout: `[n:i32][partSize:i32][pow2:u8]`,
+  * then each partition's bytes. `n` and `partSize` imply every partition's
+  * length, so no partition stores it. `writeTo` writes exactly `sizeBytes`
+  * bytes.
+  */
+final class LecoStringCompressed(val n: Int, val partSize: Int, val pow2: Boolean,
                                  val parts: Array[StringPartition]) extends CompressedStrings {
   def length: Int = n
-  def sizeBytes: Long = parts.iterator.map(_.sizeBytes).sum
+  def sizeBytes: Long = LecoStringCompressed.PrefixBytes + parts.iterator.map(_.sizeBytes).sum
   def get(i: Int): String = parts(i / partSize).get(i % partSize)
   def decompressAll(): Array[String] = Array.tabulate(n)(get)
+
+  def writeTo(buf: ByteBuffer): Unit = {
+    buf.putInt(n).putInt(partSize).put((if (pow2) 1 else 0).toByte)
+    parts.foreach(_.writeTo(buf))
+  }
+
+  def toBytes: Array[Byte] = {
+    val buf = ByteBuffer.allocate(Math.toIntExact(sizeBytes))
+    writeTo(buf)
+    if (buf.hasRemaining) throw new IllegalStateException(s"layout wrote ${buf.position()} of its $sizeBytes bytes")
+    buf.array()
+  }
+}
+
+object LecoStringCompressed {
+  val PrefixBytes = 9
+
+  /** Reads the bytes `writeTo` writes; truncated or inconsistent bytes fail
+    * with an `IllegalArgumentException` that names the fault.
+    */
+  def read(buf: ByteBuffer): LecoStringCompressed =
+    try {
+      val n = buf.getInt; val size = buf.getInt; val flag = buf.get()
+      require(n >= 0 && size > 0, s"bad layout prefix: n=$n, partition size $size")
+      require(flag == 0 || flag == 1, s"base flag $flag is neither 0 nor 1")
+      val count = ((n.toLong + size - 1) / size).toInt
+      require(count <= buf.remaining, s"$count partitions cannot fit in ${buf.remaining} bytes")
+      val parts = Array.tabulate(count)(p => StringPartition.read(buf, math.min(size, n - p * size), flag == 1))
+      new LecoStringCompressed(n, size, flag == 1, parts)
+    } catch {
+      case _: BufferUnderflowException => throw new IllegalArgumentException("LeCo-str bytes are truncated")
+    }
 }

@@ -1,5 +1,6 @@
 package repro.experiments
 
+import java.nio.ByteBuffer
 import repro.core.str._
 import repro.data.Datasets
 
@@ -27,6 +28,12 @@ object StringBench {
     while (i < values.length) {
       require(dec(i) == values(i), s"${codec.name} roundtrip mismatch on $name at $i: '${dec(i)}' vs '${values(i)}'")
       i += 1
+    }
+    c match { // LeCo-str has a byte layout: its bytes must read back to the input too
+      case l: LecoStringCompressed =>
+        val back = LecoStringCompressed.read(ByteBuffer.wrap(l.toBytes)).decompressAll()
+        require(back.sameElements(values), s"${codec.name} bytes do not read back to $name")
+      case _ =>
     }
     // warm the random-access path (JIT) before timing
     var w = 0

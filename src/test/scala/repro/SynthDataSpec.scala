@@ -15,21 +15,4 @@ class SynthDataSpec extends SparkSpec {
     val keys = df.select("o_orderkey").collect().map(_.getLong(0))
     assert(keys.min == 1 && keys.max == keys.length)
   }
-
-  test("customer and part generate deterministic row counts") {
-    assert(SynthData.customer(spark, 0.01).count() == 1500)
-    assert(SynthData.part(spark, 0.01).count() == 2000)
-  }
-
-  test("zipfKeys skews toward small keys") {
-    val df = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
-    val top = df.filter("k <= 10").count()
-    assert(top > 2000, s"only $top of 20000 in the top-10 keys")
-  }
-
-  test("uniformKeys covers the key space roughly evenly") {
-    val df = SynthData.uniformKeys(spark, rows = 20000, nKeys = 100)
-    val distinct = df.select("k").distinct().count()
-    assert(distinct > 90)
-  }
 }

@@ -3,6 +3,7 @@ package repro.core
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.baseline._
+import repro.core.str.LecoStringCodec
 import repro.data.Datasets
 
 /** Pins the bytes of the auto-sized codecs, and of rANS, on `codec_micro`'s
@@ -10,7 +11,8 @@ import repro.data.Datasets
   * the sorted ones): the partition size the search chooses (the partition
   * count for LeCo-var and Delta-var, the block count for rANS) and the
   * SHA-256 of `toBytes`. A speed change to the fit, the search or the sample
-  * must leave every line as it is.
+  * must leave every line as it is. LeCo-str's size and SHA-256 are pinned
+  * on small `email`, `hex` and `word` sets at both bases.
   */
 class GoldenBytesSpec extends AnyFunSuite {
 
@@ -112,4 +114,19 @@ class GoldenBytesSpec extends AnyFunSuite {
     "movieid"     -> (2,  "1c20c1eae11333fd55d1b029569c380c02757c7128e6108b6bc1bfc007b5b0fc"),
     "house_price" -> (2,  "f612a964040168c4bcab9606b50b0dfc4543713d1854f3c0ad532a055d2e761b"),
   )) { vs => val c = new RansCodec(8).compress(vs); (c.blocks.length, c) }
+
+  test("LeCo-str: bytes on the small email, hex and word sets at both bases are pinned") {
+    val expected = Map(
+      ("email", false) -> (13057L, "8094162de1fc8e58fc68373a667b79707a32a23b0cb6077ae3b9f8e9633cd5e1"),
+      ("email", true)  -> (13062L, "9cc841fdfa0fef4f8fc1465c7384924a5b3f305b521bc484d62ed048bebafef4"),
+      ("hex", false)   -> (4319L,  "61b8ee2ac0e34326a8db78aebab3423d7c85f4bba3f79f30f210422cb823e031"),
+      ("hex", true)    -> (4319L,  "b2d003db5e5d8aac8ae140b47786d84d82eb9602bdff0821195d33082f834699"),
+      ("word", false)  -> (19553L, "6d30dd091de3ec0809d9538f35c831e34a8fc9d00847eb4ad6c3463a3c243010"),
+      ("word", true)   -> (22029L, "32eba02aceb83926840164ee4e83e1bd701bddf476ede02feca1ba0a9fe7ab30"),
+    )
+    for (d <- Datasets.stringDatasets(100); pow2 <- Seq(false, true)) {
+      val c = new LecoStringCodec(64, pow2).compress(d.values)
+      assert((c.sizeBytes, sha256(c.toBytes)) == expected((d.name, pow2)), s"${d.name}, pow2=$pow2")
+    }
+  }
 }
