@@ -17,14 +17,15 @@ import scala.collection.mutable.ArrayBuilder
   * accumulation, `acc += slope`, with no correction list.
   *
   * Byte layout: `[len:i32][anchor:i64][width:u8]`, the high bit of the width
-  * byte set when `[model:i64]` follows (`linear`: always for LeCo, never for
-  * FOR), then the packed deltas. The model word holds the slope in its top 50
-  * bits (signed), the phase in the next 8 bits, in steps of
+  * byte set when `[model:i64]` follows, which is exactly when the slope is
+  * not 0, then the packed deltas. A flat partition is therefore a FOR frame,
+  * byte for byte, whichever encoder wrote it. The model word holds the slope
+  * in its top 50 bits (signed), the phase in the next 8 bits, in steps of
   * `2^max(0, shift − 8)`, and the shift in its low 6 bits.
   */
-final case class LecoPartition(anchor: Long, slope: Long, shift: Int, phase: Long, linear: Boolean,
+final case class LecoPartition(anchor: Long, slope: Long, shift: Int, phase: Long,
                                width: Int, len: Int, words: Array[Long]) extends EncodedPartition {
-  require(shift >= 0 && shift <= 62 && Math.abs(slope) <= LineFit.slopeLimit(len) && (linear || slope == 0) &&
+  require(shift >= 0 && shift <= 62 && Math.abs(slope) <= LineFit.slopeLimit(len) && (slope != 0 || shift == 0) &&
             phase >= 0 && phase < (1L << shift) && (phase & (LecoPartition.phaseStep(shift) - 1)) == 0,
           s"model slope $slope, shift $shift, phase $phase is outside the fixed-point limits of $len values")
 
@@ -92,13 +93,13 @@ final case class LecoPartition(anchor: Long, slope: Long, shift: Int, phase: Lon
     }
   }
 
-  def headerBytes: Int = if (linear) Codec.LinearHeaderBytes else Codec.SimpleHeaderBytes
+  def headerBytes: Int = LecoPartition.headerBytes(slope)
   def payloadBytes: Long = BitPack.payloadBytes(len, width)
   def sizeBytes: Long = headerBytes + payloadBytes
 
   def writeTo(buf: ByteBuffer): Unit = {
     buf.putInt(len).putLong(anchor)
-    if (linear) buf.put((width | LecoPartition.SlopeFlag).toByte).putLong(LecoPartition.modelWord(slope, shift, phase))
+    if (slope != 0) buf.put((width | LecoPartition.SlopeFlag).toByte).putLong(LecoPartition.modelWord(slope, shift, phase))
     else buf.put(width.toByte)
     BitPack.putPayload(buf, words, len, width)
   }
@@ -114,38 +115,42 @@ object LecoPartition {
   private def modelWord(slope: Long, shift: Int, phase: Long): Long =
     (slope << 14) | ((phase >>> math.max(0, shift - PhaseBits)) << 6) | shift
 
+  /** A partition's header: the model word follows iff the slope is not 0. */
+  def headerBytes(slope: Long): Int = if (slope != 0) Codec.LinearHeaderBytes else Codec.SimpleHeaderBytes
+
   /** The slope, shift and phase of a model word, as [[modelWord]] packs them. */
   @inline private def slopeOf(word: Long): Long = word >> 14
   @inline private def shiftOf(word: Long): Int = (word & 63).toInt
   @inline private def phaseOf(word: Long): Long = ((word >>> 6) & 0xff) * phaseStep(shiftOf(word))
 
-  /** An encoder of LeCo partitions (`linear`) or FOR frames (the constant
-    * model) of `values(from until until)`, for one thread: its one
-    * [[LineFit]] and delta buffer serve every partition it encodes.
+  /** An encoder of LeCo partitions (`fit`: the least-squares slope, which
+    * may still come out 0) or FOR frames (the constant model) of
+    * `values(from until until)`, for one thread: its one [[LineFit]] and
+    * delta buffer serve every partition it encodes.
     */
-  def encoder(linear: Boolean): (Array[Long], Int, Int) => LecoPartition = {
+  def encoder(fit: Boolean): (Array[Long], Int, Int) => LecoPartition = {
     val line = new LineFit(keepDeltas = true)
-    if (linear) (values, from, until) => line.fit(values, from, until).toPartition(linear = true, until - from)
-    else (values, from, until) => line.window(values, from, until, 0L, 0).toPartition(linear = false, until - from)
+    if (fit) (values, from, until) => line.fit(values, from, until).toPartition(until - from)
+    else (values, from, until) => line.window(values, from, until, 0L, 0).toPartition(until - from)
   }
 
   /** Fit + encode one LeCo partition of `values(from until until)`. */
   def encode(values: Array[Long], from: Int, until: Int): LecoPartition =
-    new LineFit(keepDeltas = true).fit(values, from, until).toPartition(linear = true, until - from)
+    new LineFit(keepDeltas = true).fit(values, from, until).toPartition(until - from)
 
   /** Encodes one FOR frame of `values(from until until)`: the constant model. */
   def encodeConstant(values: Array[Long], from: Int, until: Int): LecoPartition =
-    new LineFit(keepDeltas = true).window(values, from, until, 0L, 0).toPartition(linear = false, until - from)
+    new LineFit(keepDeltas = true).window(values, from, until, 0L, 0).toPartition(until - from)
 
   def read(buf: ByteBuffer): LecoPartition = {
     val len = PartitionedInts.readLen(buf)
     val anchor = buf.getLong
     val flags = buf.get() & 0xff
     val width = PartitionedInts.checkWidth(flags & ~SlopeFlag)
-    val linear = (flags & SlopeFlag) != 0
-    val word = if (linear) buf.getLong else 0L
-    LecoPartition(anchor, slopeOf(word), shiftOf(word), phaseOf(word), linear, width, len,
-                  BitPack.getPayload(buf, len, width))
+    val flagged = (flags & SlopeFlag) != 0
+    val word = if (flagged) buf.getLong else 0L
+    require(!flagged || slopeOf(word) != 0, "a model word of slope 0: a flat partition carries none")
+    LecoPartition(anchor, slopeOf(word), shiftOf(word), phaseOf(word), width, len, BitPack.getPayload(buf, len, width))
   }
 
   /** `get(j)` of the partition whose bytes start at `off` of the source
@@ -178,29 +183,31 @@ final class LecoFixCodec(val partitionSize: Int = 0) extends IntCodec {
   val name = "LeCo-fix"
 
   def compress(values: Array[Long]): LecoFixCompressed = FixedPartitions.encode(
-    values, Partitioner.fixedSize(values, partitionSize, LecoFixCodec.costAt, LecoFixCodec.MaxSearchSize)
-  )(LecoPartition.encoder(linear = true))
+    values, Partitioner.fixedSize(values, partitionSize, LecoFixCodec.costAt))(LecoPartition.encoder(fit = true))
 }
 
 object LecoFixCodec {
-  /** The largest size the search tries: half a sample window. At a whole
-    * window the sample holds only 8 partitions, and one whose width a phase
-    * narrowed moved Fig 10's booksale (1M values) from 2048 to 8192, where
-    * the column is 1.7x larger; above it partitions straddle unrelated
-    * windows.
-    */
-  val MaxSearchSize: Int = Partitioner.SampleWindow / 2
-
   /** Encoded bytes of a sample at each partition size — the search cost fn.
     * The sample's block sums are taken once, and one [[LineFit]] serves
-    * every partition of every size.
+    * every partition of every size. A partition whose slope comes out 0 is
+    * charged the 13-byte header it is written with, so the search's floor
+    * is that header.
+    *
+    * The search tries no size above three quarters of a sample window: the
+    * ladder ends at half a window, 4,096, and the refine step may try 6,144.
+    * At a whole window the sample holds only 8 partitions, and one whose
+    * width a phase narrowed moved Fig 10's booksale (1M values) from 2048 to
+    * 8192, where the column is 1.7x larger; above it partitions straddle
+    * unrelated windows. A cap of 4,096 would cost Fig 12's chunks, which are
+    * sampled whole, the 6,144 their search picks.
     */
-  val costAt: SizeCost = new SizeCost(Codec.LinearHeaderBytes) {
+  val costAt: SizeCost = new SizeCost(Codec.SimpleHeaderBytes, maxSize = Partitioner.SampleWindow * 3 / 4) {
     def on(sample: Array[Long]): Int => Long = {
       val blocks = LineFit.blockSums(sample)
       val line = new LineFit
       size => Partitioner.fixedCost(sample, size) { (s, e) =>
-        Codec.LinearHeaderBytes + BitPack.payloadBytes(e - s, line.fit(sample, s, e, blocks).width)
+        line.fit(sample, s, e, blocks)
+        line.headerBytes + BitPack.payloadBytes(e - s, line.width)
       }
     }
   }
@@ -215,5 +222,5 @@ final class LecoVarCodec(val tau: Double = 0.1) extends IntCodec {
   val name = "LeCo-var"
 
   def compress(values: Array[Long]): VariablePartitions[LecoPartition] = VariablePartitions.encode(
-    values, Partitioner.variable(values, Partitioner.LinearMode, tau))(LecoPartition.encoder(linear = true))
+    values, Partitioner.variable(values, Partitioner.LinearMode, tau))(LecoPartition.encoder(fit = true))
 }

@@ -14,13 +14,15 @@ final case class Partitions(starts: Array[Int], n: Int) {
 /** The cost function of the fixed-size search: the encoded bytes of a sample
   * in partitions of a given size, layout prefix included. `on(sample)` does
   * whatever work depends on the sample alone once, for every candidate size.
+  * `headerBytes` is the least header any partition is written with, and
+  * `maxSize` the largest size the search tries.
   */
-abstract class SizeCost(val headerBytes: Int) extends ((Array[Long], Int) => Long) {
+abstract class SizeCost(val headerBytes: Int, val maxSize: Int = 65536) extends ((Array[Long], Int) => Long) {
   def on(sample: Array[Long]): Int => Long
   def apply(sample: Array[Long], size: Int): Long = on(sample)(size)
 
   /** A floor under the cost of `n` values at `size`: the prefix and every
-    * partition's `headerBytes`, before any payload.
+    * partition's least header, before any payload.
     */
   def floor(n: Int, size: Int): Long = PartitionedInts.PrefixBytes + headerBytes.toLong * ((n + size - 1) / size)
 }
@@ -142,16 +144,17 @@ object Partitioner {
   /** Fixed-length partitioning with the sampling-based size search of
     * §3.2.1: evaluate an exponential ladder of candidate sizes on a sample,
     * then refine around the minimum. `cost(sample, size)` returns the
-    * compressed byte count of the sample at that partition size.
+    * compressed byte count of the sample at that partition size; no size
+    * above `cost.maxSize` is tried.
     */
   def searchFixedSize(values: Array[Long],
                       cost: SizeCost,
-                      maxSize: Int = 65536,
                       sampleTarget: Int = 65536,
                       seed: Long = 42): Int = {
     val sample = sampleOf(values, sampleTarget, seed)
     val costAt = cost.on(sample)
-    val ladder = Iterator.iterate(16)(_ * 2).takeWhile(s => s <= math.min(maxSize, sample.length)).toArray
+    val largest = math.min(cost.maxSize, sample.length)
+    val ladder = Iterator.iterate(16)(_ * 2).takeWhile(_ <= largest).toArray
     val sizes  = if (ladder.isEmpty) Array(math.max(1, sample.length)) else ladder
     // The ladder minimum, the smallest size of equal cost. Sizes go largest
     // first, so that one whose headers alone outweigh the best cost so far
@@ -167,7 +170,7 @@ object Partitioner {
     }
     // Refine: probe midpoints toward each neighbor of the ladder minimum.
     for (cand <- Seq(best * 3 / 4, best * 3 / 2)
-         if cand >= 8 && cand <= sample.length && cost.floor(sample.length, cand) < bestCost) {
+         if cand >= 8 && cand <= largest && cost.floor(sample.length, cand) < bestCost) {
       val c = costAt(cand)
       if (c < bestCost) { best = cand; bestCost = c }
     }
@@ -177,8 +180,8 @@ object Partitioner {
   /** `size` when it is positive, otherwise the size `searchFixedSize` finds
     * under `cost`.
     */
-  def fixedSize(values: Array[Long], size: Int, cost: SizeCost, maxSize: Int = 65536): Int =
-    if (size > 0) size else searchFixedSize(values, cost, maxSize)
+  def fixedSize(values: Array[Long], size: Int, cost: SizeCost): Int =
+    if (size > 0) size else searchFixedSize(values, cost)
 
   /** The layout prefix plus `cost(from, until)` over consecutive
     * `size`-value partitions of `values`: the shape of every fixed-size

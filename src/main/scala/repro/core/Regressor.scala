@@ -70,12 +70,14 @@ private[core] final class LineFit(keepDeltas: Boolean = false) {
   private var bxy = 0.0
 
   def width: Int = BitPack.bitsFor(dMax - dMin)
+  /** The header the last window's partition is written with. */
+  def headerBytes: Int = LecoPartition.headerBytes(slope)
   def toFit: Fit = Fit(dMin, slope, shift, phase, width)
 
   /** The partition of the last window of `len` values, its deltas packed above the anchor. */
-  def toPartition(linear: Boolean, len: Int): LecoPartition = {
+  def toPartition(len: Int): LecoPartition = {
     require(keepDeltas, "a LineFit without deltas cannot encode")
-    LecoPartition(dMin, slope, shift, phase, linear, width, len, BitPack.packAbove(deltas, len, dMin, width))
+    LecoPartition(dMin, slope, shift, phase, width, len, BitPack.packAbove(deltas, len, dMin, width))
   }
 
   /** Least-squares θ1 over positions `0..n-1`, in fixed point, then its

@@ -12,7 +12,7 @@ final class ForCodec(val partitionSize: Int = 0) extends IntCodec {
   val name = "FOR"
 
   def compress(values: Array[Long]): LecoFixCompressed = FixedPartitions.encode(
-    values, Partitioner.fixedSize(values, partitionSize, ForCodec.costAt))(LecoPartition.encoder(linear = false))
+    values, Partitioner.fixedSize(values, partitionSize, ForCodec.costAt))(LecoPartition.encoder(fit = false))
 }
 
 object ForCodec {

@@ -44,5 +44,5 @@ final class AngleCodec(val epsBits: Int = 8) extends IntCodec {
   }
 
   def compress(values: Array[Long]): VariablePartitions[LecoPartition] =
-    VariablePartitions.encode(values, partition(values))(LecoPartition.encoder(linear = true))
+    VariablePartitions.encode(values, partition(values))(LecoPartition.encoder(fit = true))
 }

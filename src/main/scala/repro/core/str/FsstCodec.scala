@@ -7,7 +7,7 @@ package repro.core.str
   * offset array is delta-compressed in blocks of `offsetBlock` strings
   * (base offset + 1-byte compressed lengths), trading random-access speed
   * for size — the knob swept in Fig 13 (0 = full 4-byte offsets, O(1)
-  * access).
+  * access). A character above U+00FF is not a byte, and `compress` rejects it.
   *
   * Deviation (DESIGN.md): greedy one-shot symbol selection instead of
   * FSST's iterative refinement; interface and cost model are preserved.
@@ -26,6 +26,9 @@ final class FsstCodec(val offsetBlock: Int = 0, val maxSymbols: Int = 254) exten
     var i = 0
     while (i < values.length) {
       val s = values(i)
+      val wide = s.indexWhere(_ > 0xff)
+      require(wide < 0,
+              f"""FSST codes one byte per character: '${s(wide)}' (U+${s(wide).toInt}%04X) in "$s" is above U+00FF""")
       val before = payload.length
       var p = 0
       while (p < s.length) {

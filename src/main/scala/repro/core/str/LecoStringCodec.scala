@@ -177,7 +177,7 @@ object StringPartition {
       val fit = line.fit(vMin, 0, n).toFit
       val mid = (1L << fit.bitWidth) >>> 1
       val chosen = Array.tabulate(n)(j => math.max(vMin(j), math.min(vMax(j), fit.predict(j) + mid)))
-      line.window(chosen, 0, n, fit.slope, fit.shift).toPartition(linear = fit.slope != 0, n)
+      line.window(chosen, 0, n, fit.slope, fit.shift).toPartition(n)
     }
     // 5. lengths
     val lens = BitPack.pack(suffixes.map(_.length.toLong), BitPack.bitsFor(maxLen))

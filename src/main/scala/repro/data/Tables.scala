@@ -3,17 +3,17 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.SynthData
 
 /** The nine multi-column tables of §4.5, as Spark DataFrames of integral
   * columns, each sorted by its primary-key column (the paper's setup: the
   * sort column induces partial serial order on correlated columns).
   *
-  * TPC-H tables reuse/extend `SynthData`; TPC-DS-lite and the three
-  * "real-world" tables (geo/stock/course_info) are synthetic analogues —
-  * see DESIGN.md "Dataset substitutions". Decimals are scaled to integer
-  * cents, dates to epoch days (the benchmark considers numerical columns
-  * only).
+  * The TPC-H tables are synthetic at TPC-H's row counts (SF 1: 6M lineitem
+  * rows, 1.5M orders); TPC-DS-lite and the three "real-world" tables
+  * (geo/stock/course_info) are synthetic analogues — see DESIGN.md "Dataset
+  * substitutions". Decimals are scaled to integer cents, dates to days since
+  * 1992-01-01 or day keys (the benchmark considers numerical columns only).
+  * Every generator is deterministic in (sf, seed).
   */
 object Tables {
 
@@ -29,24 +29,28 @@ object Tables {
     longDf.repartitionByRange(4, keys.map(col): _*).sortWithinPartitions(keys.map(col): _*)
   }
 
-  def lineitem(spark: SparkSession, sf: Double): DataFrame =
-    SynthData.lineitem(spark, sf).select(
-      col("l_orderkey"),
-      col("l_partkey"),
-      col("l_linenumber").cast(LongType) as "l_linenumber",
-      col("l_quantity").cast(LongType) as "l_quantity",
-      (col("l_extendedprice") * 100).cast(LongType) as "l_extendedprice",
-      (col("l_discount") * 100).cast(LongType) as "l_discount",
-      (col("l_tax") * 100).cast(LongType) as "l_tax",
-      datediff(col("l_shipdate"), lit("1992-01-01").cast(DateType)).cast(LongType) as "l_shipdate",
+  private def rows(perSf: Long, sf: Double): Long = math.max(1L, (perSf * sf).toLong)
+
+  def lineitem(spark: SparkSession, sf: Double): DataFrame = {
+    val nOrders = rows(1_500_000L, sf); val nPart = rows(200_000L, sf)
+    spark.range(rows(6_000_000L, sf)).select(
+      (rand(0) * nOrders + 1).cast(LongType) as "l_orderkey",
+      (rand(1) * nPart + 1).cast(LongType) as "l_partkey",
+      (rand(2) * 7 + 1).cast(LongType) as "l_linenumber",
+      (rand(3) * 50 + 1).cast(LongType) as "l_quantity",
+      (round(rand(4) * 90000 + 900, 2) * 100).cast(LongType) as "l_extendedprice",
+      (round(rand(5) * 0.10, 2) * 100).cast(LongType) as "l_discount",
+      (round(rand(6) * 0.08, 2) * 100).cast(LongType) as "l_tax",
+      (rand(9) * 2557).cast(LongType) as "l_shipdate",
     )
+  }
 
   def orders(spark: SparkSession, sf: Double): DataFrame =
-    SynthData.orders(spark, sf).select(
-      col("o_orderkey"),
-      col("o_custkey"),
-      (col("o_totalprice") * 100).cast(LongType) as "o_totalprice",
-      datediff(col("o_orderdate"), lit("1992-01-01").cast(DateType)).cast(LongType) as "o_orderdate",
+    spark.range(1, rows(1_500_000L, sf) + 1).select(
+      col("id") as "o_orderkey",
+      (rand(1) * rows(150_000L, sf) + 1).cast(LongType) as "o_custkey",
+      (round(rand(3) * 500000 + 1000, 2) * 100).cast(LongType) as "o_totalprice",
+      (rand(4) * 2406).cast(LongType) as "o_orderdate",
     )
 
   def partsupp(spark: SparkSession, sf: Double, seed: Long = 21): DataFrame = {

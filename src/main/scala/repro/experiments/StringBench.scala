@@ -35,15 +35,9 @@ object StringBench {
         require(back.sameElements(values), s"${codec.name} bytes do not read back to $name")
       case _ =>
     }
-    // warm the random-access path (JIT) before timing
-    var w = 0
-    while (w < math.min(5000, values.length)) { MicroBench.sink += c.get(w).length; w += 1 }
     val count = math.min(probes, values.length)
-    // min of three timed passes: JVM random-access timings at this scale are
-    // dominated by JIT/GC noise otherwise
-    var best = Long.MaxValue
-    var pass = 0
-    while (pass < 3) {
+    // nanoseconds of `count` random `get`s, probe sequence `pass`
+    def probePass(pass: Int): Long = {
       var x = 0xBEEF1234L + pass
       var acc = 0
       val t0 = System.nanoTime()
@@ -55,9 +49,14 @@ object StringBench {
       }
       val ns = System.nanoTime() - t0
       MicroBench.sink += acc
-      if (ns < best) best = ns
-      pass += 1
+      ns
     }
+    // one untimed pass warms the random-access path (JIT), so the first
+    // scheme of a JVM is not timed cold; then the min of three timed
+    // passes: JVM random-access timings at this scale are dominated by
+    // JIT/GC noise otherwise
+    probePass(0)
+    val best = (0 until 3).map(probePass).min
     Measurement(name, codec.name, c.sizeBytes.toDouble / raw, best.toDouble / count)
   }
 

@@ -62,11 +62,11 @@ class GoldenBytesSpec extends AnyFunSuite {
     "normal"      -> (256,  "5afe468f0ca6c59c84c7845b04f7d0cd92498646b923de627299ebeb87ef6bdf"),
     "poisson"     -> (512,  "98e6ea5d41e5ec74a35042e0a73a577f79cb12759fc1ce8f3439a9b22aa5684c"),
     "ml"          -> (96,   "dc005ae545aa216d6261aad39d85fcce1e56c2403eaef8b5717786a47ffc4e44"),
-    "booksale"    -> (1024, "f2dc68e80806239c66155206b6244f328c1cc098894c0ad2f884159f82d12c01"),
+    "booksale"    -> (512,  "27ca1a931890f543f0495983cafceac673c04abd8eb09291949671732eda5a40"),
     "facebook"    -> (128,  "f4bafcb20aac54bbbda5c031fcbeadeb8e498effd1cc87c6ea978d33737f4e83"),
     "wiki"        -> (256,  "33ac9e66639c6d489c222ea065f3a772aa1d8bf0489760410fac6890c6c6bbd6"),
     "movieid"     -> (64,   "221846ac6b58bd8ea675d637b7950038f9c4019129401a63ce883137ed930d36"),
-    "house_price" -> (48,   "459b8bcbacdb8e77a1ff81abcafb95c3ffa3958735ff827b7287a1b1b1b34bd0"),
+    "house_price" -> (48,   "76fd3ef1aaf22098052bbc70a40a7419655810c4f219e04f43f28adfcbf7772a"),
   )) { vs => val c = new LecoFixCodec().compress(vs); (c.partSize, c) }
 
   pinned("LeCo-var", Map(
@@ -74,10 +74,10 @@ class GoldenBytesSpec extends AnyFunSuite {
     "normal"      -> (50, "78c3e48abbcfb5b3a419d25ffc28bc1ea298dc8d185c1c525bfdf04d5d1bcc5e"),
     "poisson"     -> (22, "c87576b4aec7310d435c6b77a8f1043deb22df0136a76c323a6aaaadd07c98dd"),
     "ml"          -> (1,  "863c06fc727b005640c51505655471699bb913465953c3b261b4441626597eb4"),
-    "booksale"    -> (86, "8b8918683cc00c3444118f5e7ef083046ea6f20eb0c3b6d7a5f20772783c1a86"),
+    "booksale"    -> (86, "b7ac816148f93f43140d747023bf42d20a1d65a5e99bed983ba495b1c6f8d1ee"),
     "facebook"    -> (46, "d6f56033f30b621937c65cd2f50b81e555403bc69cd367a1423642af4355fc61"),
     "wiki"        -> (61, "ff3aa2561725dd02891f666a53d8cc58a5598ce7c2917173dbe1feea1b794518"),
-    "movieid"     -> (95, "51ebd5928d99fba2a4fa765c5251d169cc1ad85d85078f9fea251f7ee75ff18f"),
+    "movieid"     -> (95, "c6f8d900c1cac70d36c989df964cc0547ae5f1e8db08f952ddc98df4136b9f1f"),
     "house_price" -> (2,  "010de69d656c393af7deb7ed39dda8efbecbf115dd8e0385b000b8cfcf7b8132"),
   )) { vs => val c = new LecoVarCodec().compress(vs); (c.starts.length, c) }
 

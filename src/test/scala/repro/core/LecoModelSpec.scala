@@ -39,6 +39,28 @@ class LecoModelSpec extends AnyFunSuite {
     })
   }
 
+  test("a partition carries its model word exactly when its slope is not 0; a flat one is a FOR frame") {
+    ByteLayoutSpec.check(Prop.forAllNoShrink(values, flat, ByteLayoutSpec.values.suchThat(_.nonEmpty)) { (a, b, c) =>
+      LecoPartition.encode(b, 0, b.length).slope == 0 && Seq(a, b, c).forall { vals =>
+        val p = LecoPartition.encode(vals, 0, vals.length)
+        val bytes = bytesOf(p)
+        val flagged = (bytes(FlagByte) & 0x80) != 0
+        flagged == (p.slope != 0) && bytes.length == p.sizeBytes &&
+          (flagged || bytes.sameElements(bytesOf(LecoPartition.encodeConstant(vals, 0, vals.length))))
+      }
+    })
+  }
+
+  test("a model word of slope 0 is rejected: a flat partition carries none") {
+    val frame = bytesOf(LecoPartition.encodeConstant(Array.tabulate(100)(j => 5L + j % 3), 0, 100))
+    for (word <- Seq(0L, 7L /* shift 7, phase 0 */)) {
+      val flagged = ByteBuffer.allocate(frame.length + 8).put(frame, 0, FlagByte)
+        .put((frame(FlagByte) | 0x80).toByte).putLong(word).put(frame, FlagByte + 1, frame.length - FlagByte - 1)
+      val e = intercept[IllegalArgumentException](LecoPartition.read(ByteBuffer.wrap(flagged.array())))
+      assert(e.getMessage.contains("model word of slope 0"), e.getMessage)
+    }
+  }
+
   test("a slope beyond the fixed-point limit saturates and still round-trips") {
     val vals = Array.tabulate(5)(j => j.toLong << 60)
     val p = LecoPartition.encode(vals, 0, vals.length)
@@ -57,6 +79,30 @@ class LecoModelSpec extends AnyFunSuite {
 }
 
 object LecoModelSpec {
+  /** Offset of the width byte, whose high bit flags the model word: after `[len:i32][anchor:i64]`. */
+  val FlagByte = 12
+
+  def bytesOf(p: LecoPartition): Array[Byte] = {
+    val buf = ByteBuffer.allocate(p.sizeBytes.toInt)
+    p.writeTo(buf)
+    buf.array()
+  }
+
+  /** Inputs whose least-squares slope is 0: a constant, or values that
+    * read the same backwards, small enough that the sums are exact in
+    * `Double` and cancel.
+    */
+  val flat: Gen[Array[Long]] = for {
+    n      <- Gen.choose(1, 3000)
+    offset <- Gen.choose(-(1L << 20), 1L << 20)
+    period <- Gen.oneOf(1, 2, 3, 7, 64)
+    seed   <- Gen.long
+  } yield {
+    val r = new scala.util.Random(seed)
+    val noise = Array.fill(period)(if (period == 1) 0L else r.nextInt(1 << 12).toLong)
+    Array.tabulate(n)(j => offset + noise(math.min(j, n - 1 - j) % period))
+  }
+
   /** `±2^e·(1 + u)` for `e` in `[-40, 61]`, up to `2^62`. */
   val slope: Gen[Double] = for {
     e    <- Gen.choose(-40, 61)

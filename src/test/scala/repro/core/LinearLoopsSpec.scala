@@ -35,7 +35,7 @@ class LinearLoopsSpec extends AnyFunSuite {
       val out = new Array[Long](until - from)
       p.decodeInto(out, 0)
       (p.anchor, p.slope, p.shift, p.phase, p.width) == ((fit.anchor, fit.slope, fit.shift, fit.phase, fit.bitWidth)) &&
-        p.linear && p.len == until - from && p.anchor == ref.anchor && p.width == ref.width &&
+        p.len == until - from && p.anchor == ref.anchor && p.width == ref.width &&
         p.words.sameElements(BitPack.pack(ref.deltas, ref.width)) && out.sameElements(vs.slice(from, until))
     })
   }
@@ -44,7 +44,8 @@ class LinearLoopsSpec extends AnyFunSuite {
     check(Prop.forAllNoShrink(partition, Gen.oneOf(16, 48, 64, 1024)) { case (Part(vs, _, _), l) =>
       val ref = Partitioner.fixedCost(vs, l) { (s, e) =>
         val fit = Regressor.fitLinear(vs, s, e)
-        Codec.LinearHeaderBytes + BitPack.payloadBytes(e - s, Reference.window(vs, s, e, fit.slope, fit.shift, fit.phase).width)
+        val header = if (fit.slope == 0) Codec.SimpleHeaderBytes else Codec.LinearHeaderBytes
+        header + BitPack.payloadBytes(e - s, Reference.window(vs, s, e, fit.slope, fit.shift, fit.phase).width)
       }
       LecoFixCodec.costAt(vs, l) == ref
     })

@@ -98,6 +98,16 @@ class PartitionerSpec extends AnyFunSuite with TimeLimits {
     assert(best <= 1024, s"got $best")
   }
 
+  test("searchFixedSize asks its cost for no size above maxSize, not even in the refine step") {
+    val asked = scala.collection.mutable.Set[Int]()
+    // headers alone: the larger the size, the cheaper, so the ladder's best is the cap, and refine would try 6,144
+    val headersOnly = new SizeCost(Codec.SimpleHeaderBytes, maxSize = 4096) {
+      def on(sample: Array[Long]): Int => Long = { size => asked += size; floor(sample.length, size) }
+    }
+    assert(searchFixedSize(new Array[Long](65536), headersOnly) == 4096)
+    assert(asked.max == 4096, asked.toSeq.sorted)
+  }
+
   test("costAt at partition size 0 throws instead of spinning") {
     val sample = Array.tabulate(100)(_.toLong)
     val costs = Seq[(Array[Long], Int) => Long](LecoFixCodec.costAt, ForCodec.costAt, DeltaFixCodec.costAt)

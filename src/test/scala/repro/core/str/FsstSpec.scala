@@ -33,6 +33,14 @@ class FsstSpec extends AnyFunSuite {
     roundtrip(new FsstCodec(0), Array("", "a", "", "bb"))
   }
 
+  test("a character above U+00FF is rejected, naming it and its string; Latin-1 round-trips") {
+    for ((s, c) <- Seq("€" -> '€', "xΩ" -> 'Ω')) {
+      val msg = intercept[IllegalArgumentException](new FsstCodec(0).compress(Array("ab", s))).getMessage
+      assert(msg.contains(s"'$c'") && msg.contains("\"" + s + "\""), msg)
+    }
+    roundtrip(new FsstCodec(0), Array("café", "ÿ", "naïve"))
+  }
+
   test("trained table contains high-gain substrings") {
     val table = FsstCodec.train(Array.fill(200)("abcabcabc"), 254)
     assert(table.nonEmpty)

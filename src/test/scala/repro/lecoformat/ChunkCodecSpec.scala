@@ -151,6 +151,18 @@ class ChunkCodecSpec extends AnyFunSuite {
     assert(corruption(withRawLen(long)).contains("16 bytes left over after the LecoFix body"))
   }
 
+  test("corrupt chunk: a LeCo partition of slope 0 that carries a model word is rejected") {
+    // 3000 equal values: every partition is flat, and the first one's width byte follows the layout prefix
+    val flat = ChunkCodec.encode(Array.fill(3000)(42L), Encoding.LecoFix, 256, zstd = false)
+    val flags = ChunkCodec.HeaderBytes + 8 + 12
+    val b = java.nio.ByteBuffer.allocate(flat.length + 8)
+      .put(flat, 0, flags).put((flat(flags) | 0x80).toByte).putLong(0L).put(flat, flags + 1, flat.length - flags - 1)
+      .array()
+    val msg = corruption(withRawLen(b))
+    assert(msg.startsWith("corrupt leco chunk ts/7"), msg)
+    assert(msg.endsWith("a model word of slope 0: a flat partition carries none"), msg)
+  }
+
   test("corrupt chunk: a FOR or LeCo body whose n disagrees with its last partition is rejected") {
     for (enc <- Seq(Encoding.For, Encoding.LecoFix)) {
       // 3000 values in partitions of 256: the last, partition 11, holds 184
