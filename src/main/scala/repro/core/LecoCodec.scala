@@ -187,26 +187,17 @@ final class LecoFixCodec(val partitionSize: Int = 0) extends IntCodec {
 }
 
 object LecoFixCodec {
-  /** Encoded bytes of a sample at each partition size — the search cost fn.
-    * The sample's block sums are taken once, and one [[LineFit]] serves
-    * every partition of every size. A partition whose slope comes out 0 is
-    * charged the 13-byte header it is written with, so the search's floor
-    * is that header.
-    *
-    * The search tries no size above three quarters of a sample window: the
-    * ladder ends at half a window, 4,096, and the refine step may try 6,144.
-    * At a whole window the sample holds only 8 partitions, and one whose
-    * width a phase narrowed moved Fig 10's booksale (1M values) from 2048 to
-    * 8192, where the column is 1.7x larger; above it partitions straddle
-    * unrelated windows. A cap of 4,096 would cost Fig 12's chunks, which are
-    * sampled whole, the 6,144 their search picks.
+  /** Encoded bytes of a partition — the search cost fn. The block sums of
+    * the values are taken once, and one [[LineFit]] serves every partition
+    * of every size. A partition whose slope comes out 0 is charged the
+    * 13-byte header it is written with, so the search's floor is that header.
     */
-  val costAt: SizeCost = new SizeCost(Codec.SimpleHeaderBytes, maxSize = Partitioner.SampleWindow * 3 / 4) {
-    def on(sample: Array[Long]): Int => Long = {
-      val blocks = LineFit.blockSums(sample)
+  val costAt: SizeCost = new SizeCost(Codec.SimpleHeaderBytes) {
+    def on(values: Array[Long]): (Int, Int) => Long = {
+      val blocks = LineFit.blockSums(values)
       val line = new LineFit
-      size => Partitioner.fixedCost(sample, size) { (s, e) =>
-        line.fit(sample, s, e, blocks)
+      (s, e) => {
+        line.fit(values, s, e, blocks)
         line.headerBytes + BitPack.payloadBytes(e - s, line.width)
       }
     }

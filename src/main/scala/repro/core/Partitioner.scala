@@ -11,15 +11,15 @@ final case class Partitions(starts: Array[Int], n: Int) {
   def end(k: Int): Int = if (k + 1 < starts.length) starts(k + 1) else n
 }
 
-/** The cost function of the fixed-size search: the encoded bytes of a sample
-  * in partitions of a given size, layout prefix included. `on(sample)` does
-  * whatever work depends on the sample alone once, for every candidate size.
-  * `headerBytes` is the least header any partition is written with, and
-  * `maxSize` the largest size the search tries.
+/** The cost function of the fixed-size search: `on(values)` gives the
+  * encoded bytes of partition `values(s until e)`, doing whatever work
+  * depends on `values` alone once, and `apply` sums them at a size, layout
+  * prefix included. `headerBytes` is the least header any partition is
+  * written with.
   */
-abstract class SizeCost(val headerBytes: Int, val maxSize: Int = 65536) extends ((Array[Long], Int) => Long) {
-  def on(sample: Array[Long]): Int => Long
-  def apply(sample: Array[Long], size: Int): Long = on(sample)(size)
+abstract class SizeCost(val headerBytes: Int) extends ((Array[Long], Int) => Long) {
+  def on(values: Array[Long]): (Int, Int) => Long
+  def apply(values: Array[Long], size: Int): Long = Partitioner.fixedCost(values, size)(on(values))
 
   /** A floor under the cost of `n` values at `size`: the prefix and every
     * partition's least header, before any payload.
@@ -143,17 +143,18 @@ object Partitioner {
 
   /** Fixed-length partitioning with the sampling-based size search of
     * §3.2.1: evaluate an exponential ladder of candidate sizes on a sample,
-    * then refine around the minimum. `cost(sample, size)` returns the
-    * compressed byte count of the sample at that partition size; no size
-    * above `cost.maxSize` is tried.
+    * then refine around the minimum. An input of at most [[SampleValues]]
+    * values is taken whole and costed exactly, so any size up to its length
+    * may win. A sample's windows are drawn at unrelated places, and at a
+    * whole window the estimate rests on 8 partitions, so no size above three
+    * quarters of a window, 6,144, is tried: on Fig 10's booksale (1M values)
+    * LeCo-fix's pick of 8,192 was 1.7x larger, Elias-Fano's of 65,536 15%.
     */
-  def searchFixedSize(values: Array[Long],
-                      cost: SizeCost,
-                      sampleTarget: Int = 65536,
-                      seed: Long = 42): Int = {
-    val sample = sampleOf(values, sampleTarget, seed)
-    val costAt = cost.on(sample)
-    val largest = math.min(cost.maxSize, sample.length)
+  def searchFixedSize(values: Array[Long], cost: SizeCost): Int = {
+    val sample = sampleOf(values, SampleValues, seed = 42)
+    val partCost = cost.on(sample)
+    val costAt = (size: Int) => fixedCost(sample, size)(partCost)
+    val largest = if (values.length <= SampleValues) values.length else SampleWindow * 3 / 4
     val ladder = Iterator.iterate(16)(_ * 2).takeWhile(_ <= largest).toArray
     val sizes  = if (ladder.isEmpty) Array(math.max(1, sample.length)) else ladder
     // The ladder minimum, the smallest size of equal cost. Sizes go largest
@@ -184,8 +185,8 @@ object Partitioner {
     if (size > 0) size else searchFixedSize(values, cost)
 
   /** The layout prefix plus `cost(from, until)` over consecutive
-    * `size`-value partitions of `values`: the shape of every fixed-size
-    * search cost fn, and the `sizeBytes` of their `FixedPartitions`.
+    * `size`-value partitions of `values`: what the size search charges a
+    * candidate size, and the `sizeBytes` of its `FixedPartitions`.
     */
   def fixedCost(values: Array[Long], size: Int)(cost: (Int, Int) => Long): Long = {
     require(size > 0, s"partition size $size")
@@ -205,10 +206,12 @@ object Partitioner {
 
   /** Values per window of [[sampleOf]]. */
   val SampleWindow = 8192
+  /** Values in the sample [[searchFixedSize]] judges sizes on. */
+  val SampleValues = 65536
 
   /** Contiguous-window sample of ~`target` values: `target / 8192` windows of
     * 8192 values at seeded random starts. Inputs of at most `target` values
-    * are used whole. With the default 65,536 this is far from the paper's
+    * are used whole. At [[SampleValues]] this is far from the paper's
     * <1%: 33% of a 200k-value `codec_micro` set, 6.5% of a Fig 10 set.
     */
   def sampleOf(values: Array[Long], target: Int, seed: Long): Array[Long] = {
@@ -226,46 +229,5 @@ object Partitioner {
       w += 1
     }
     out
-  }
-
-  /** Exact DP-optimal partitioning for the linear regressor — O(n³), test
-    * oracle only (§3.2 notes the exhaustive search is impractical at scale).
-    */
-  def optimalLinear(values: Array[Long], headerBits: Int = Codec.LinearHeaderBytes * 8): Partitions = {
-    val n = values.length
-    val best  = new Array[Long](n + 1)
-    val from  = new Array[Int](n + 1)
-    best(0) = 0
-    var j = 1
-    while (j <= n) {
-      best(j) = Long.MaxValue
-      var i = 0
-      while (i < j) {
-        val w    = Regressor.linearDeltaBits(values, i, j)
-        val cost = best(i) + headerBits + (j - i).toLong * w
-        if (cost < best(j)) { best(j) = cost; from(j) = i }
-        i += 1
-      }
-      j += 1
-    }
-    val starts = ArrayBuffer[Int]()
-    var p = n
-    while (p > 0) { starts += from(p); p = from(p) }
-    Partitions(starts.reverse.toArray, n)
-  }
-
-  /** Total encoded bits of a partition arrangement under the exact linear
-    * regressor — used to compare greedy vs DP in tests.
-    */
-  def linearCostBits(values: Array[Long], parts: Partitions,
-                     headerBits: Int = Codec.LinearHeaderBytes * 8): Long = {
-    var total = 0L
-    var k = 0
-    while (k < parts.count) {
-      val s = parts.starts(k); val e = parts.end(k)
-      total += headerBits + (e - s).toLong * Regressor.linearDeltaBits(values, s, e)
-      k += 1
-    }
-    total
   }
 }

@@ -33,12 +33,6 @@ object Regressor {
     */
   def fitLinear(values: Array[Long], from: Int, until: Int): Fit =
     new LineFit().fit(values, from, until).toFit
-
-  /** Exact delta width a linear fit would need on `values(from until until)` —
-    * the Δ(v) function of §3.2.2, used by partitioners and tests.
-    */
-  def linearDeltaBits(values: Array[Long], from: Int, until: Int): Int =
-    new LineFit().fit(values, from, until).width
 }
 
 /** The fit and delta window of one partition under the integer model of

@@ -77,12 +77,12 @@ final class DeltaFixCodec(val partitionSize: Int = 0) extends IntCodec {
 
 object DeltaFixCodec {
   /** A partition's width is that of its largest zigzag diff, which the OR
-    * of its diffs shares; the sample's diffs are zigzagged once.
+    * of its diffs shares; the diffs are zigzagged once.
     */
   val costAt: SizeCost = new SizeCost(Codec.SimpleHeaderBytes) {
-    def on(sample: Array[Long]): Int => Long = {
-      val z = Array.tabulate(sample.length)(k => if (k == 0) 0L else DeltaPartition.zigzag(sample(k) - sample(k - 1)))
-      size => Partitioner.fixedCost(sample, size) { (s, e) =>
+    def on(values: Array[Long]): (Int, Int) => Long = {
+      val z = Array.tabulate(values.length)(k => if (k == 0) 0L else DeltaPartition.zigzag(values(k) - values(k - 1)))
+      (s, e) => {
         var bits = 0L
         var k = s + 1
         while (k < e) { bits |= z(k); k += 1 }

@@ -27,9 +27,9 @@ object EliasFanoCodec {
     true
   }
   val costAt: SizeCost = new SizeCost(EfPartition.HeaderBytes) {
-    def on(sample: Array[Long]): Int => Long = {
-      val sorted = if (isSorted(sample)) sample else sample.sorted
-      size => Partitioner.fixedCost(sorted, size)(EfPartition.encodedBytes(sorted, _, _))
+    def on(values: Array[Long]): (Int, Int) => Long = {
+      val sorted = if (isSorted(values)) values else values.sorted
+      EfPartition.encodedBytes(sorted, _, _)
     }
   }
 }

@@ -17,11 +17,9 @@ final class ForCodec(val partitionSize: Int = 0) extends IntCodec {
 
 object ForCodec {
   val costAt: SizeCost = new SizeCost(Codec.SimpleHeaderBytes) {
-    def on(sample: Array[Long]): Int => Long = {
+    def on(values: Array[Long]): (Int, Int) => Long = {
       val line = new LineFit
-      size => Partitioner.fixedCost(sample, size) { (s, e) =>
-        Codec.SimpleHeaderBytes + BitPack.payloadBytes(e - s, line.window(sample, s, e, 0L, 0).width)
-      }
+      (s, e) => Codec.SimpleHeaderBytes + BitPack.payloadBytes(e - s, line.window(values, s, e, 0L, 0).width)
     }
   }
 }

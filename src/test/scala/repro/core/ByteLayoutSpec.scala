@@ -155,8 +155,8 @@ object ByteLayoutSpec {
   def sameAs(a: CompressedInts, b: CompressedInts): Boolean =
     a.n == b.n && a.decompressAll().sameElements(b.decompressAll()) && (0 until a.n).forall(i => a.get(i) == b.get(i))
 
-  def check(prop: Prop): Unit = {
-    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(2024L)), prop)
+  def check(prop: Prop, cases: Int = 200): Unit = {
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(cases).withInitialSeed(Seed(2024L)), prop)
     Assertions.assert(res.passed, Pretty.pretty(res))
   }
 }

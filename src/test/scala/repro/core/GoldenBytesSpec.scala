@@ -46,7 +46,7 @@ class GoldenBytesSpec extends AnyFunSuite {
   )) { vs => val c = new ForCodec().compress(vs); (c.partSize, c) }
 
   pinned("Delta-fix", Map(
-    "linear"      -> (8192, "27dd1a22ae49e353114e9d7318b622bc08a069107be60e9befe68d49e77261e5"),
+    "linear"      -> (4096, "cabbd39056fd28f6c3736d9b0696d202164e2e390582937d9f1330997f0d73bd"),
     "normal"      -> (512,  "4474c1d3f3c2ada74bee121255b84f9a28adcbea5a23047fc89e0cacb9fbdb96"),
     "poisson"     -> (512,  "2bed86f7da7149e6291d939a84084a46983f8e3610a33ed4152b38bfe6af81f8"),
     "ml"          -> (128,  "7a20631e16e7b28323f0fa31e102c18f8510e16df9658cb4147bd206218bf8d2"),
@@ -94,10 +94,10 @@ class GoldenBytesSpec extends AnyFunSuite {
   )) { vs => val c = new DeltaVarCodec().compress(vs); (c.starts.length, c) }
 
   pinned("Elias-Fano", Map(
-    "linear"      -> (8192,  "98c76391b7059334027f8cfc44bf429faa740079e407238b04f0f44d2fdf5d0e"),
-    "normal"      -> (8192,  "56f82d442453d7cf8271088f5e2cc401bb13e89b030e257a7ca1a59fb7d2bcb5"),
+    "linear"      -> (4096,  "91c802ce03533666f4fbc755eba93f194290ff884bbbbdf7cca02f80476d9fc5"),
+    "normal"      -> (4096,  "c4f186f9bc35576ebdcbff4fd595c9fcc03a772dde1d5f4176257ba0d4f5bf44"),
     "ml"          -> (384,   "2fda72b17ab898375cda60b2da65c8b50586b85b975fc06827b63d267ea84388"),
-    "booksale"    -> (65536, "fbec88b6f734400b9be1c476c6c65ba72b26a964e8c8b56cba7c86918a4ffd0b"),
+    "booksale"    -> (6144,  "6da53d6b38c14e969888ce25a0fa872a382f4ceadfad3fd3b0805f1956e594bf"),
     "facebook"    -> (256,   "26945de450b1b7b56877f6d4f0f2a9094fd3dea3ceb807f9ab1a10fa232e6e04"),
     "wiki"        -> (4096,  "9177e6ca4d2572734c05f0303ee783d7d9060578806bba3b1a1b65e9b80dd2c5"),
     "house_price" -> (96,    "3984134a1b7b467574e822eb13e783f5a7a1e62c16d72feb8a6b563b459ea72b"),

@@ -22,7 +22,7 @@ class LinearLoopsSpec extends AnyFunSuite {
       val unphased = Reference.window(vs, from, until, fit.slope, fit.shift, 0L)
       Reference.withinLimits(fit.slope, fit.shift, fit.phase, until - from) &&
         fit.anchor == ref.anchor && fit.bitWidth == ref.width &&
-        Regressor.linearDeltaBits(vs, from, until) == ref.width &&
+        PartitionerSpec.linearDeltaBits(vs, from, until) == ref.width &&
         // a phase is kept only where it narrows the width, by one bit
         (if (fit.phase == 0) true else unphased.width == ref.width + 1)
     })

@@ -1,14 +1,17 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 import org.scalatest.concurrent.{ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalatest.time.SpanSugar._
-import repro.core.baseline.{DeltaFixCodec, ForCodec}
+import repro.core.baseline.{DeltaFixCodec, EliasFanoCodec, ForCodec}
+import repro.data.Datasets
 
 class PartitionerSpec extends AnyFunSuite with TimeLimits {
   import Partitioner._
+  import PartitionerSpec._
 
   private def checkPartitions(ps: Partitions): Unit = {
     assert(ps.starts.head == 0)
@@ -98,14 +101,31 @@ class PartitionerSpec extends AnyFunSuite with TimeLimits {
     assert(best <= 1024, s"got $best")
   }
 
-  test("searchFixedSize asks its cost for no size above maxSize, not even in the refine step") {
-    val asked = scala.collection.mutable.Set[Int]()
-    // headers alone: the larger the size, the cheaper, so the ladder's best is the cap, and refine would try 6,144
-    val headersOnly = new SizeCost(Codec.SimpleHeaderBytes, maxSize = 4096) {
-      def on(sample: Array[Long]): Int => Long = { size => asked += size; floor(sample.length, size) }
+  test("searchFixedSize tries a sampled input to 6,144 and a whole one to its n") {
+    // headers alone: the larger the size, the cheaper, so the search ends at
+    // its cap; past the ladder's 4,096 and 65,536, the refine step would try
+    // 6,144 and 98,304
+    def longestAsked(n: Int): (Int, Int) = {
+      var longest = 0
+      val headersOnly = new SizeCost(Codec.SimpleHeaderBytes) {
+        def on(values: Array[Long]): (Int, Int) => Long = { (s, e) => longest = math.max(longest, e - s); headerBytes }
+      }
+      (searchFixedSize(new Array[Long](n), headersOnly), longest)
     }
-    assert(searchFixedSize(new Array[Long](65536), headersOnly) == 4096)
-    assert(asked.max == 4096, asked.toSeq.sorted)
+    assert(longestAsked(65537) == ((6144, 6144)))
+    assert(longestAsked(65536) == ((65536, 65536)))
+  }
+
+  test("LeCo-fix on a whole 65,536-value line picks above 6,144, for fewer bytes") {
+    val vals = Datasets.linear(65536)
+    val c = new LecoFixCodec().compress(vals)
+    assert(c.partSize > 6144)
+    assert(c.sizeBytes < new LecoFixCodec(6144).compress(vals).sizeBytes, s"at ${c.partSize}")
+  }
+
+  test("Elias-Fano on a sampled 1M-value booksale takes at most 140,547 bytes") {
+    val c = new EliasFanoCodec().compress(Datasets.booksale(1_000_000))
+    assert(c.sizeBytes <= 140547, s"${c.sizeBytes} B at ${c.partSize}")
   }
 
   test("costAt at partition size 0 throws instead of spinning") {
@@ -153,5 +173,56 @@ class PartitionerSpec extends AnyFunSuite with TimeLimits {
   test("all-equal input collapses to one partition") {
     val ps = variable(Array.fill(1000)(7L), LinearMode, 0.1)
     assert(ps.count == 1)
+  }
+}
+
+object PartitionerSpec {
+
+  /** Exact delta width a linear fit needs on `values(from until until)`: the
+    * Δ(v) function of §3.2.2.
+    */
+  def linearDeltaBits(values: Array[Long], from: Int, until: Int): Int =
+    new LineFit().fit(values, from, until).width
+
+  /** Exact DP-optimal partitioning for the linear regressor: O(n³), the
+    * oracle the greedy partitioner is checked against (§3.2 notes the
+    * exhaustive search is impractical at scale).
+    */
+  def optimalLinear(values: Array[Long], headerBits: Int = Codec.LinearHeaderBytes * 8): Partitions = {
+    val n = values.length
+    val best  = new Array[Long](n + 1)
+    val from  = new Array[Int](n + 1)
+    best(0) = 0
+    var j = 1
+    while (j <= n) {
+      best(j) = Long.MaxValue
+      var i = 0
+      while (i < j) {
+        val w    = linearDeltaBits(values, i, j)
+        val cost = best(i) + headerBits + (j - i).toLong * w
+        if (cost < best(j)) { best(j) = cost; from(j) = i }
+        i += 1
+      }
+      j += 1
+    }
+    val starts = ArrayBuffer[Int]()
+    var p = n
+    while (p > 0) { starts += from(p); p = from(p) }
+    Partitions(starts.reverse.toArray, n)
+  }
+
+  /** Total encoded bits of a partition arrangement under the exact linear
+    * regressor, to compare greedy and DP.
+    */
+  def linearCostBits(values: Array[Long], parts: Partitions,
+                     headerBits: Int = Codec.LinearHeaderBytes * 8): Long = {
+    var total = 0L
+    var k = 0
+    while (k < parts.count) {
+      val s = parts.starts(k); val e = parts.end(k)
+      total += headerBits + (e - s).toLong * linearDeltaBits(values, s, e)
+      k += 1
+    }
+    total
   }
 }

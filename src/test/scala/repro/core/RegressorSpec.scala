@@ -108,7 +108,7 @@ class RegressorSpec extends AnyFunSuite {
   test("linearDeltaBits equals fitLinear width") {
     val r = new scala.util.Random(12)
     val vals = Array.fill(128)(r.nextInt(100000).toLong)
-    assert(Regressor.linearDeltaBits(vals, 10, 90) ==
+    assert(PartitionerSpec.linearDeltaBits(vals, 10, 90) ==
            Regressor.fitLinear(vals, 10, 90).bitWidth)
   }
 
