@@ -82,7 +82,9 @@ object BitPack {
     if (spill > 0) words(w + 1) |= (v >>> (64 - off))
   }
 
-  /** Read the `b`-bit unsigned value at logical index `i` (bit offset b*i). */
+  /** Read the `b`-bit unsigned value at logical index `i` (bit offset b*i):
+    * random access. A walk from index 0 on is a [[Reader]]'s.
+    */
   def read(words: Array[Long], i: Int, b: Int): Long = readAt(words, i.toLong * b, b)
 
   /** Read `b` bits at absolute bit offset `bitPos` as an unsigned value. */
@@ -127,8 +129,32 @@ object BitPack {
   /** Unpack `n` values of width `b` starting at logical index 0. */
   def unpackAll(words: Array[Long], n: Int, b: Int): Array[Long] = {
     val out = new Array[Long](n)
+    val in = new Reader(words, b)
     var i = 0
-    while (i < n) { out(i) = read(words, i, b); i += 1 }
+    while (i < n) { out(i) = in.next(); i += 1 }
     out
   }
+
+  /** The values of width `b` in `words`, in order from index 0: every
+    * sequential decode's reader. It carries the bit position, so a value
+    * costs an add where [[read]] multiplies, and the width's mask, so the
+    * width is checked once, not per value. A value reads the next word only
+    * when it spills into it: no word past the one that ends the last value
+    * read is touched.
+    */
+  final class Reader(words: Array[Long], b: Int) {
+    if (b < 0 || b > 64) throw new IllegalArgumentException(s"width $b out of range")
+    private[this] val ws   = if (b == 0) ZeroWord else words // width 0 has no words; reads 0 forever
+    private[this] val mask = if (b == 64) -1L else (1L << b) - 1
+    private[this] var pos  = 0L // bit offset of the next value
+
+    def next(): Long = {
+      val w = (pos >>> 6).toInt; val off = (pos & 63).toInt
+      pos += b
+      val lo = ws(w) >>> off
+      (if (off + b > 64) lo | (ws(w + 1) << (64 - off)) else lo) & mask
+    }
+  }
+
+  private val ZeroWord = Array(0L)
 }

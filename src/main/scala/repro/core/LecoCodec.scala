@@ -41,16 +41,14 @@ final case class LecoPartition(anchor: Long, slope: Long, shift: Int, phase: Lon
     * constant model (FOR) adds the anchor alone.
     */
   def decodeInto(out: Array[Long], outOff: Int): Unit = {
-    val m = slope; val s = shift; val w = width; val ws = words
-    var j = 0
-    if (m == 0) while (j < len) { out(outOff + j) = anchor + BitPack.read(ws, j, w); j += 1 }
+    val deltas = new BitPack.Reader(words, width)
+    val end = outOff + len
+    val m = slope; val s = shift; val a = anchor
+    var j = outOff
+    if (m == 0) while (j < end) { out(j) = a + deltas.next(); j += 1 }
     else {
       var acc = phase
-      while (j < len) {
-        out(outOff + j) = anchor + (acc >> s) + BitPack.read(ws, j, w)
-        acc += m
-        j += 1
-      }
+      while (j < end) { out(j) = a + (acc >> s) + deltas.next(); acc += m; j += 1 }
     }
   }
 
@@ -128,7 +126,7 @@ object LecoPartition {
     * `values(from until until)`, for one thread: its one [[LineFit]] and
     * delta buffer serve every partition it encodes.
     */
-  def encoder(fit: Boolean): (Array[Long], Int, Int) => LecoPartition = {
+  def encoder(fit: Boolean): PartitionEncoder[LecoPartition] = {
     val line = new LineFit(keepDeltas = true)
     if (fit) (values, from, until) => line.fit(values, from, until).toPartition(until - from)
     else (values, from, until) => line.window(values, from, until, 0L, 0).toPartition(until - from)

@@ -28,6 +28,13 @@ trait EncodedPartition {
   }
 }
 
+/** Encodes partition `values(from until until)`. A trait of its own, not a
+  * `Function3`, so that the bounds pass unboxed.
+  */
+trait PartitionEncoder[+P] {
+  def apply(values: Array[Long], from: Int, until: Int): P
+}
+
 /** A partitioned representation and its byte layout: `[n:i32][k:i32]`,
   * then each partition's own bytes. `k` is the partition size of a
   * fixed-length layout, or the partition count of a variable-length one.
@@ -86,7 +93,7 @@ final class FixedPartitions[P <: EncodedPartition](val n: Int, val partSize: Int
 object FixedPartitions {
   /** Encodes consecutive `size`-value partitions of `values`. */
   def encode[P <: EncodedPartition: ClassTag](values: Array[Long], size: Int)
-                                             (encode: (Array[Long], Int, Int) => P): FixedPartitions[P] =
+                                             (encode: PartitionEncoder[P]): FixedPartitions[P] =
     new FixedPartitions(values.length, size, Partitioner.encodeFixed(values, size)(encode))
 
   def read[P <: EncodedPartition: ClassTag](buf: ByteBuffer)(read: ByteBuffer => P): FixedPartitions[P] = {
@@ -124,9 +131,12 @@ final class VariablePartitions[P <: EncodedPartition](val n: Int, val starts: Ar
 object VariablePartitions {
   /** Encodes the partitions `ps` of `values`. */
   def encode[P <: EncodedPartition: ClassTag](values: Array[Long], ps: Partitions)
-                                             (encode: (Array[Long], Int, Int) => P): VariablePartitions[P] =
-    new VariablePartitions(values.length, ps.starts,
-                           Array.tabulate(ps.count)(k => encode(values, ps.starts(k), ps.end(k))))
+                                             (encode: PartitionEncoder[P]): VariablePartitions[P] = {
+    val parts = new Array[P](ps.count)
+    var k = 0
+    while (k < parts.length) { parts(k) = encode(values, ps.starts(k), ps.end(k)); k += 1 }
+    new VariablePartitions(values.length, ps.starts, parts)
+  }
 
   def read[P <: EncodedPartition: ClassTag](buf: ByteBuffer)(read: ByteBuffer => P): VariablePartitions[P] = {
     val n = buf.getInt; val count = buf.getInt

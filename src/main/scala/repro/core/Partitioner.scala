@@ -20,11 +20,6 @@ final case class Partitions(starts: Array[Int], n: Int) {
 abstract class SizeCost(val headerBytes: Int) extends ((Array[Long], Int) => Long) {
   def on(values: Array[Long]): (Int, Int) => Long
   def apply(values: Array[Long], size: Int): Long = Partitioner.fixedCost(values, size)(on(values))
-
-  /** A floor under the cost of `n` values at `size`: the prefix and every
-    * partition's least header, before any payload.
-    */
-  def floor(n: Int, size: Int): Long = PartitionedInts.PrefixBytes + headerBytes.toLong * ((n + size - 1) / size)
 }
 
 /** The LeCo Partitioner (§3.2): fixed-length with sampling-based size search
@@ -153,26 +148,23 @@ object Partitioner {
   def searchFixedSize(values: Array[Long], cost: SizeCost): Int = {
     val sample = sampleOf(values, SampleValues, seed = 42)
     val partCost = cost.on(sample)
-    val costAt = (size: Int) => fixedCost(sample, size)(partCost)
+    def costWithin(size: Int, bound: Long): Long = fixedCost(sample, size, bound, cost.headerBytes)(partCost)
     val largest = if (values.length <= SampleValues) values.length else SampleWindow * 3 / 4
     val ladder = Iterator.iterate(16)(_ * 2).takeWhile(_ <= largest).toArray
     val sizes  = if (ladder.isEmpty) Array(math.max(1, sample.length)) else ladder
     // The ladder minimum, the smallest size of equal cost. Sizes go largest
-    // first, so that one whose headers alone outweigh the best cost so far
-    // is passed over unencoded: it cannot be the minimum.
+    // first, so the best cost so far bounds the smaller ones, whose headers
+    // weigh more.
     var best = 0; var bestCost = Long.MaxValue
     var i = sizes.length - 1
     while (i >= 0) {
-      if (cost.floor(sample.length, sizes(i)) <= bestCost) {
-        val c = costAt(sizes(i))
-        if (c <= bestCost) { best = sizes(i); bestCost = c }
-      }
+      val c = costWithin(sizes(i), bestCost)
+      if (c <= bestCost) { best = sizes(i); bestCost = c }
       i -= 1
     }
     // Refine: probe midpoints toward each neighbor of the ladder minimum.
-    for (cand <- Seq(best * 3 / 4, best * 3 / 2)
-         if cand >= 8 && cand <= largest && cost.floor(sample.length, cand) < bestCost) {
-      val c = costAt(cand)
+    for (cand <- Seq(best * 3 / 4, best * 3 / 2) if cand >= 8 && cand <= largest) {
+      val c = costWithin(cand, bestCost - 1)
       if (c < bestCost) { best = cand; bestCost = c }
     }
     best
@@ -186,22 +178,34 @@ object Partitioner {
 
   /** The layout prefix plus `cost(from, until)` over consecutive
     * `size`-value partitions of `values`: what the size search charges a
-    * candidate size, and the `sizeBytes` of its `FixedPartitions`.
+    * candidate size, and the `sizeBytes` of its `FixedPartitions`. With a
+    * `bound`, Long.MaxValue as soon as the partitions costed so far and
+    * `leastHeader` for each one left come to more than `bound`: the search
+    * does not cost whole a size that cannot be the minimum.
     */
-  def fixedCost(values: Array[Long], size: Int)(cost: (Int, Int) => Long): Long = {
+  def fixedCost(values: Array[Long], size: Int, bound: Long = Long.MaxValue, leastHeader: Int = 0)
+               (cost: (Int, Int) => Long): Long = {
     require(size > 0, s"partition size $size")
     var total = PartitionedInts.PrefixBytes.toLong
+    var left = (values.length + size - 1) / size
     var s = 0
-    while (s < values.length) { val e = math.min(s + size, values.length); total += cost(s, e); s = e }
+    while (s < values.length) {
+      if (total + leastHeader.toLong * left > bound) return Long.MaxValue
+      val e = math.min(s + size, values.length)
+      total += cost(s, e)
+      left -= 1
+      s = e
+    }
     total
   }
 
   /** Encodes consecutive `size`-value partitions of `values`. */
-  def encodeFixed[P: ClassTag](values: Array[Long], size: Int)(encode: (Array[Long], Int, Int) => P): Array[P] = {
+  def encodeFixed[P: ClassTag](values: Array[Long], size: Int)(encode: PartitionEncoder[P]): Array[P] = {
     require(size > 0, s"partition size $size")
-    Array.tabulate((values.length + size - 1) / size) { p =>
-      encode(values, p * size, math.min(p * size + size, values.length))
-    }
+    val parts = new Array[P]((values.length + size - 1) / size)
+    var p = 0
+    while (p < parts.length) { parts(p) = encode(values, p * size, math.min(p * size + size, values.length)); p += 1 }
+    parts
   }
 
   /** Values per window of [[sampleOf]]. */

@@ -62,6 +62,16 @@ private[core] final class LineFit(keepDeltas: Boolean = false) {
   /** The last block's Σy and Σi·y, from [[sumBlock]]. */
   private var by  = 0.0
   private var bxy = 0.0
+  /** What `fit` derives from the partition length alone, for partitions
+    * of `termsLen` values: the size search and an encoder fit many
+    * partitions of one length.
+    */
+  private var termsLen = 0
+  private var sumX     = 0.0
+  private var sumXX    = 0.0
+  private var denom    = 0.0
+  private var limit    = 0L
+  private var top      = 0
 
   def width: Int = BitPack.bitsFor(dMax - dMin)
   /** The header the last window's partition is written with. */
@@ -80,26 +90,36 @@ private[core] final class LineFit(keepDeltas: Boolean = false) {
   def fit(values: Array[Long], from: Int, until: Int, blocks: BlockSums = null): this.type = {
     val n = until - from
     require(n >= 1, "empty partition")
-    // LSM closed form; positions are 0..n-1 so the sums over them are analytic.
-    val sumX  = n.toDouble * (n - 1) / 2.0
-    val sumXX = (n - 1).toDouble * n * (2L * n - 1) / 6.0
+    if (n != termsLen) {
+      // LSM closed form; positions are 0..n-1 so the sums over them are analytic.
+      sumX  = n.toDouble * (n - 1) / 2.0
+      sumXX = (n - 1).toDouble * n * (2L * n - 1) / 6.0
+      denom = n * sumXX - sumX * sumX
+      limit = slopeLimit(n)
+      top   = 63 - java.lang.Long.numberOfLeadingZeros(limit) // floor(log2 limit)
+      termsLen = n
+    }
     var sumY  = 0.0
     var sumXY = 0.0
-    val aligned = blocks != null && from % Block == 0
     var b = from
+    if (blocks != null && from % Block == 0) { // whole blocks: their sums are in `blocks`
+      val wholeEnd = from + (n & -Block)
+      while (b < wholeEnd) {
+        val y = blocks.y(b >> 4)
+        sumY += y
+        sumXY += (b - from).toDouble * y + blocks.xy(b >> 4)
+        b += Block
+      }
+    }
     while (b < until) {
       val count = math.min(Block, until - b)
-      if (aligned && count == Block) { by = blocks.y(b >> 4); bxy = blocks.xy(b >> 4) }
-      else sumBlock(values, b, count)
+      sumBlock(values, b, count)
       sumY += by
       sumXY += (b - from).toDouble * by + bxy
       b += count
     }
-    val denom = n * sumXX - sumX * sumX
     val t1 = if (denom == 0) 0.0 else (n * sumXY - sumX * sumY) / denom
     // θ1 in fixed point: the most fractional bits, up to one, that keep |m| within the limit
-    val limit = slopeLimit(n)
-    val top = 63 - java.lang.Long.numberOfLeadingZeros(limit) // floor(log2 limit)
     val s = if (!(math.abs(t1) > 0)) 0 else math.max(0, math.min(62, top - Math.getExponent(t1) - 1))
     val scale = java.lang.Double.longBitsToDouble((1023L + s) << 52) // 2^s, exactly
     val m = math.max(-limit, math.min(limit, Math.round(t1 * scale))) // saturates past 2^48 per position
@@ -136,34 +156,46 @@ private[core] final class LineFit(keepDeltas: Boolean = false) {
     * a phase can narrow the width.
     */
   def window(values: Array[Long], from: Int, until: Int, m: Long, s: Int): this.type = {
+    if (keepDeltas) rangeAndDeltas(values, from, until, m, s) else range(values, from, until, m, s)
+    slope = m; shift = s; phase = 0L
+    val r = dMax - dMin
+    if (s > 0 && r != 0 && (r & (r - 1)) == 0) choosePhase(values, from, until - from)
+    this
+  }
+
+  // The two window loops. Each takes its extremes with Math.min/Math.max, not
+  // a branch per extreme: a new extreme comes in no pattern.
+
+  /** `dMin` and `dMax` of the window alone: the size search's loop. */
+  private def range(values: Array[Long], from: Int, until: Int, m: Long, s: Int): Unit = {
+    var mn = Long.MaxValue; var mx = Long.MinValue
+    var acc = 0L
+    var i = from
+    while (i < until) {
+      val d = values(i) - (acc >> s)
+      mn = Math.min(mn, d); mx = Math.max(mx, d)
+      acc += m
+      i += 1
+    }
+    dMin = mn; dMax = mx
+  }
+
+  /** `dMin` and `dMax`, and the deltas into `deltas`: the encoder's loop. */
+  private def rangeAndDeltas(values: Array[Long], from: Int, until: Int, m: Long, s: Int): Unit = {
     val n = until - from
+    if (deltas.length < n) deltas = new Array[Long](math.max(n, 2 * deltas.length))
+    val ds = deltas
     var mn = Long.MaxValue; var mx = Long.MinValue
     var acc = 0L
     var j = 0
-    if (keepDeltas) {
-      if (deltas.length < n) deltas = new Array[Long](math.max(n, 2 * deltas.length))
-      val ds = deltas
-      while (j < n) {
-        val d = values(from + j) - (acc >> s)
-        ds(j) = d
-        if (d < mn) mn = d
-        if (d > mx) mx = d
-        acc += m
-        j += 1
-      }
-    } else {
-      while (j < n) {
-        val d = values(from + j) - (acc >> s)
-        if (d < mn) mn = d
-        if (d > mx) mx = d
-        acc += m
-        j += 1
-      }
+    while (j < n) {
+      val d = values(from + j) - (acc >> s)
+      ds(j) = d
+      mn = Math.min(mn, d); mx = Math.max(mx, d)
+      acc += m
+      j += 1
     }
-    slope = m; shift = s; phase = 0L; dMin = mn; dMax = mx
-    val range = mx - mn
-    if (s > 0 && range != 0 && (range & (range - 1)) == 0) choosePhase(values, from, n)
-    this
+    dMin = mn; dMax = mx
   }
 
   /** With phase 0, delta `j` is `d(j) = v(j) - q(j)` where `m·j = q(j)·2^s + f(j)`.

@@ -15,17 +15,20 @@ final case class DeltaPartition(first: Long, width: Int, len: Int, words: Array[
 
   /** Decode value at in-partition position `j` (O(j) scan). */
   def get(j: Int): Long = {
+    if (width == 0) return first // every diff is 0
+    val diffs = new BitPack.Reader(words, width)
     var v = first
     var k = 0
-    while (k < j) { v += unzig(BitPack.read(words, k, width)); k += 1 }
+    while (k < j) { v += unzig(diffs.next()); k += 1 }
     v
   }
 
   def decodeInto(out: Array[Long], outOff: Int): Unit = {
+    val diffs = new BitPack.Reader(words, width)
     var v = first
     out(outOff) = v
-    var k = 0
-    while (k < len - 1) { v += unzig(BitPack.read(words, k, width)); out(outOff + k + 1) = v; k += 1 }
+    var k = 1
+    while (k < len) { v += unzig(diffs.next()); out(outOff + k) = v; k += 1 }
   }
 
   def headerBytes: Int = Codec.SimpleHeaderBytes

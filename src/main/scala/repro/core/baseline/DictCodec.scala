@@ -97,8 +97,9 @@ object DictCodec extends IntCodec {
     def get(i: Int): Long = dict(BitPack.read(words, i, width).toInt)
     def decompressAll(): Array[Long] = {
       val out = new Array[Long](n)
+      val codes = new BitPack.Reader(words, width)
       var i = 0
-      while (i < n) { out(i) = get(i); i += 1 }
+      while (i < n) { out(i) = dict(codes.next().toInt); i += 1 }
       out
     }
 

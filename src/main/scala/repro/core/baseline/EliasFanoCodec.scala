@@ -90,16 +90,17 @@ final case class EfPartition(base: Long, l: Int, len: Int, low: Array[Long], hig
 
   def get(j: Int): Long = {
     val hi = select1(j) - j
-    base + ((hi.toLong << l) | (if (l == 0) 0L else BitPack.read(low, j, l)))
+    base + ((hi.toLong << l) | BitPack.read(low, j, l))
   }
 
   def decodeInto(out: Array[Long], outOff: Int): Unit = {
+    val lows = new BitPack.Reader(low, l)
     var j = 0; var pos = 0
     while (j < len) {
       // advance to the next set bit
       while ((high(pos >>> 6) & (1L << (pos & 63))) == 0) pos += 1
       val hi = pos - j
-      out(outOff + j) = base + ((hi.toLong << l) | (if (l == 0) 0L else BitPack.read(low, j, l)))
+      out(outOff + j) = base + ((hi.toLong << l) | lows.next())
       pos += 1; j += 1
     }
   }

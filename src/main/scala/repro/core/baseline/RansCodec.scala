@@ -158,19 +158,22 @@ object Rans {
 }
 
 /** Byte layout: `[n:i32][bpv:u8][blockValues:i32][256 × freq:u16]`, then
-  * `[len:i32][bytes]` per block. `cum` and the slot table are rebuilt from
-  * `freq`.
+  * `[count:i32][len:i32][bytes]` per block, `count` its values. `cum` and
+  * the slot table are rebuilt from `freq`.
   */
 final class RansCompressed(val n: Int, val bpv: Int, val blockValues: Int,
                            val freq: Array[Int], val blocks: Array[Array[Byte]]) extends CompressedInts {
   private val cum     = Rans.cumulative(freq)
   private val slotSym = Rans.slotTable(freq, cum)
-  def sizeBytes: Long = RansCompressed.HeaderBytes + blocks.iterator.map(4L + _.length).sum
+  def sizeBytes: Long = RansCompressed.HeaderBytes + blocks.iterator.map(8L + _.length).sum
+
+  /** Values in block `blk`: `blockValues`, but in the last. */
+  private def countOf(blk: Int): Int = math.min(blockValues, n - blk * blockValues)
 
   def writeTo(buf: ByteBuffer): Unit = {
     buf.putInt(n).put(bpv.toByte).putInt(blockValues)
     freq.foreach(f => buf.putShort(f.toShort))
-    blocks.foreach(b => buf.putInt(b.length).put(b))
+    for (blk <- blocks.indices) buf.putInt(countOf(blk)).putInt(blocks(blk).length).put(blocks(blk))
   }
 
   /** Random access = decode the containing block's prefix. */
@@ -195,7 +198,7 @@ final class RansCompressed(val n: Int, val bpv: Int, val blockValues: Int,
     var bad = -1
     var blk = 0; var off = 0
     while (blk < blocks.length) {
-      val count = math.min(blockValues, n - off)
+      val count = countOf(blk)
       if (!Rans.decodeBlock(blocks(blk), count, bpv, freq, cum, slotSym, out, off) && bad < 0) bad = blk
       off += count; blk += 1
     }
@@ -208,8 +211,10 @@ object RansCompressed {
   val HeaderBytes: Int = 4 + 1 + 4 + 256 * 2
 
   /** Reads the layout to the end of `buf`: every byte after the header
-    * belongs to a block, and each block must decode to exactly its share of
-    * `n`, so an `n` wrong by less than a block is rejected too.
+    * belongs to a block. Every block but the last holds `blockValues`
+    * values, the counts sum to `n`, and each block must decode to exactly
+    * its count, so an `n` wrong by less than a block is rejected even where
+    * a block's bytes are all one symbol, which decodes to any count.
     */
   def read(buf: ByteBuffer): RansCompressed = {
     val n = buf.getInt; val bpv = buf.get() & 0xff; val blockValues = buf.getInt
@@ -221,7 +226,13 @@ object RansCompressed {
     require(total == Rans.ProbScale || (total == 0 && n == 0),
             s"rANS frequencies sum to $total, not ${Rans.ProbScale}")
     val blocks = ArrayBuffer.empty[Array[Byte]]
+    var held = 0L // values in the blocks read so far
     while (buf.hasRemaining) {
+      require(held == blocks.length.toLong * blockValues,
+              s"rANS block ${blocks.length - 1} is not the last but holds fewer than $blockValues values")
+      val count = buf.getInt
+      require(count >= 1 && count <= blockValues, s"rANS block ${blocks.length} holds $count values, not 1..$blockValues")
+      held += count
       val len = buf.getInt
       require(len <= buf.remaining,
               s"rANS block ${blocks.length} of $len bytes runs past the buffer's end (${buf.remaining} bytes left)")
@@ -230,11 +241,10 @@ object RansCompressed {
       buf.get(block)
       blocks += block
     }
-    val want = (n + blockValues - 1L) / blockValues
-    require(blocks.length == want, s"rANS holds ${blocks.length} blocks, expected $want for $n values")
+    require(held == n, s"rANS blocks hold $held values, expected $n")
     val c = new RansCompressed(n, bpv, blockValues, freq, blocks.toArray)
     val bad = c.decodeBlocks(new Array[Long](n))
-    require(bad < 0, s"rANS block $bad does not decode to exactly ${math.min(blockValues.toLong, n - bad.toLong * blockValues)} values")
+    require(bad < 0, s"rANS block $bad does not decode to exactly ${c.countOf(bad)} values")
     c
   }
 }

@@ -1,8 +1,12 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.ByteLayoutSpec.check
+import repro.core.baseline.DeltaPartition
 
 class BitPackSpec extends AnyFunSuite {
+  import BitPackSpec._
 
   test("bitsFor(0) == 0") { assert(BitPack.bitsFor(0) == 0) }
   test("bitsFor(1) == 1") { assert(BitPack.bitsFor(1) == 1) }
@@ -70,5 +74,77 @@ class BitPackSpec extends AnyFunSuite {
       val words = BitPack.pack(safe, b)
       assert(BitPack.unpackAll(words, n, b).sameElements(safe), s"b=$b n=$n")
     }
+  }
+
+  // The streaming reader of every sequential decode against BitPack.read's
+  // random access: at every width, on payloads that end
+  // exactly on a word boundary (a reader that loads the word after the last
+  // one fails there) and on one partition above 65,536 values.
+
+  test("unpackAll equals BitPack.read at every index, at every width 0-64") {
+    for (b <- 0 to 64) check(Prop.forAll(lengths(b, 0), Gen.long) { (n, seed) =>
+      val words = randomWords(BitPack.wordsFor(n, b), seed)
+      val all = BitPack.unpackAll(words, n, b)
+      (0 until n).forall(i => all(i) == BitPack.read(words, i, b))
+    }, casesPerWidth)
+  }
+
+  test("a LeCo partition's and a FOR frame's decodeInto equal get at every position, at every width 0-64") {
+    for (b <- 0 to 64) check(Prop.forAll(lengths(b, 0), Gen.long, Gen.oneOf(true, false)) { (len, seed, flat) =>
+      val r = new scala.util.Random(seed)
+      val words = randomWords(BitPack.wordsFor(len, b), r.nextLong())
+      val p =
+        if (flat) LecoPartition(r.nextLong(), 0L, 0, 0L, b, len, words)
+        else { // a random model within the fixed-point limits of `len` values
+          val limit = LineFit.slopeLimit(len)
+          val slope = r.nextLong() % (limit + 1) match { case 0 => 1L; case m => m }
+          val shift = r.nextInt(63)
+          val phase = r.nextLong() & ((1L << shift) - 1) & -LecoPartition.phaseStep(shift)
+          LecoPartition(r.nextLong(), slope, shift, phase, b, len, words)
+        }
+      decodesAsGets(len, p.decodeInto, p.get, 0 until len)
+    }, casesPerWidth)
+  }
+
+  test("a Delta partition's decodeInto equals get at every position, at every width 0-64") {
+    for (b <- 0 to 64) check(Prop.forAll(lengths(b, 1), Gen.long) { (len, seed) =>
+      val r = new scala.util.Random(seed)
+      val p = DeltaPartition(r.nextLong(), b, len, randomWords(BitPack.wordsFor(len - 1, b), r.nextLong()))
+      // both walk the reader, so the prefix sums of BitPack.read are the reference
+      val sums = new Array[Long](len)
+      sums(0) = p.first
+      for (k <- 1 until len) { val z = BitPack.read(p.words, k - 1, b); sums(k) = sums(k - 1) + ((z >>> 1) ^ -(z & 1L)) }
+      // get walks the prefix, so a partition above 65,536 values is checked at 200 positions and its last
+      val at = if (len <= 4096) 0 until len else Seq.fill(200)(r.nextInt(len)) :+ (len - 1)
+      decodesAsGets(len, p.decodeInto, p.get, at) && decodesAsGets(len, p.decodeInto, sums(_), 0 until len)
+    }, casesPerWidth)
+  }
+}
+
+object BitPackSpec {
+  val casesPerWidth = 30
+
+  /** Lengths of a payload of `b`-bit values after `skip` leading values
+    * that are not packed: any up to 300, one whose payload ends exactly on
+    * a word boundary, or one above 65,536.
+    */
+  def lengths(b: Int, skip: Int): Gen[Int] = {
+    val perWords = 64 >> Integer.numberOfTrailingZeros(b | 64) // 64 / gcd(b, 64): values that fill whole words
+    Gen.frequency(
+      4 -> Gen.choose(math.max(1, skip), 300),
+      4 -> Gen.choose(1, 5).map(_ * perWords + skip),
+      1 -> Gen.choose(65537, 70000))
+  }
+
+  def randomWords(count: Int, seed: Long): Array[Long] = {
+    val r = new scala.util.Random(seed)
+    Array.fill(count)(r.nextLong())
+  }
+
+  /** `decodeInto` at an offset leaves the values `get` gives at `positions`, and touches nothing around them. */
+  def decodesAsGets(len: Int, decodeInto: (Array[Long], Int) => Unit, get: Int => Long, positions: Seq[Int]): Boolean = {
+    val out = Array.fill(len + 2)(42L)
+    decodeInto(out, 1)
+    out(0) == 42L && out(len + 1) == 42L && positions.forall(j => out(1 + j) == get(j))
   }
 }

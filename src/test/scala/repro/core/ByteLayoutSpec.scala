@@ -89,13 +89,20 @@ class ByteLayoutSpec extends AnyFunSuite {
       edit(buf)
       intercept[IllegalArgumentException](RansCompressed.read(buf)).getMessage
     }
-    val freq0 = 9 // [n:i32][bpv:u8][blockValues:i32], then freq(0)
-    val len0  = freq0 + 256 * 2
-    assert(error(_.putInt(0, 2 * PartSize)).endsWith("rANS holds 4 blocks, expected 2 for 128 values"))
-    assert(error(_.putInt(0, 4 * PartSize + 1)).endsWith("rANS holds 4 blocks, expected 5 for 257 values"))
-    // an n wrong by less than a block: the last block decodes too few or too many values
-    for (n <- Seq(199, 195, 193, 201, 220))
-      assert(error(_.putInt(0, n)).endsWith(s"rANS block 3 does not decode to exactly ${n - 3 * PartSize} values"), n)
+    val freq0  = 9 // [n:i32][bpv:u8][blockValues:i32], then freq(0)
+    val count0 = freq0 + 256 * 2 // block 0's [count:i32][len:i32]
+    val len0   = count0 + 4
+    val count3 = (0 until 3).foldLeft(count0)((at, _) => at + 8 + ByteBuffer.wrap(bytes).getInt(at + 4))
+    // an n wrong by a block or by less: the blocks' counts sum to 200
+    for (n <- Seq(2 * PartSize, 4 * PartSize + 1, 199, 195, 193, 201, 220))
+      assert(error(_.putInt(0, n)).endsWith(s"rANS blocks hold 200 values, expected $n"), n)
+    for (count <- Seq(0, PartSize + 1))
+      assert(error(_.putInt(count0, count)).endsWith(s"rANS block 0 holds $count values, not 1..$PartSize"))
+    assert(error(_.putInt(count0, PartSize - 1)).endsWith(s"rANS block 0 is not the last but holds fewer than $PartSize values"))
+    // counts that agree with n, but the last block decodes to its own 8 values
+    for (count <- Seq(7, 9))
+      assert(error(_.putInt(0, 3 * PartSize + count).putInt(count3, count))
+        .endsWith(s"rANS block 3 does not decode to exactly $count values"), count)
     for (bpv <- Seq(0, 9)) assert(error(_.put(4, bpv.toByte)).endsWith(s"rANS width $bpv bytes per value, not 1..8"))
     assert(error(_.putInt(5, 0)).endsWith("rANS block of 0 values"))
     assert(error(b => b.putShort(freq0, (b.getShort(freq0) + 1).toShort))
@@ -103,6 +110,13 @@ class ByteLayoutSpec extends AnyFunSuite {
     assert(error(_.putInt(len0, bytes.length)).endsWith(
       s"rANS block 0 of ${bytes.length} bytes runs past the buffer's end (${bytes.length - len0 - 4} bytes left)"))
     assert(error(_.putInt(len0, 3)).endsWith("rANS block 0 of 3 bytes cannot hold its 4-byte state"))
+  }
+
+  test("rANS blocks of one symbol, which decode to any count, reject an edited n") {
+    val bytes = new RansCodec(8, PartSize).compress(new Array[Long](200)).toBytes // all bytes are 0
+    val buf = ByteBuffer.wrap(bytes).putInt(0, 220)
+    assert(intercept[IllegalArgumentException](RansCompressed.read(buf)).getMessage
+      .endsWith("rANS blocks hold 200 values, expected 220"))
   }
 
   test("every codec returns 2 3 2 7 0 8 4 4 3 5 6, where folding δmin into a Double θ0 moved a prediction by one") {

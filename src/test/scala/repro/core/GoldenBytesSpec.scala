@@ -104,15 +104,15 @@ class GoldenBytesSpec extends AnyFunSuite {
   ), sortedOnly = true) { vs => val c = new EliasFanoCodec().compress(vs); (c.partSize, c) }
 
   pinned("rANS", Map(
-    "linear"      -> (13, "76e98b6e539dacae1aae41fc792874043ac24ec72a1e01b4bed835442e161d90"),
-    "normal"      -> (13, "5397231d42a208b88aedba4fc1c33bbcb3ffd04027001320c331a8525aed63f1"),
-    "poisson"     -> (6,  "34abe1cc77c9bd01add6757e508986b3b28e4c42956b2fb8b8302ab73541bea1"),
-    "ml"          -> (2,  "393696da2c3135a1f985b86fdcd46be9ca1c8e368045f655809a52af481420dd"),
-    "booksale"    -> (13, "70d9620357a8e736d0a61fbc5248a1730033faec3ac19db331c0351e8ac03ef0"),
-    "facebook"    -> (13, "cc7cc339a0159c5ec45b9ed47d498276ad5ba22b498836bf98aea6bb3bfbb944"),
-    "wiki"        -> (13, "f4058a9d01b277f4a2f51f632a01c3d6c05fa8753d9a17692527a03df1a7dcf7"),
-    "movieid"     -> (2,  "1c20c1eae11333fd55d1b029569c380c02757c7128e6108b6bc1bfc007b5b0fc"),
-    "house_price" -> (2,  "f612a964040168c4bcab9606b50b0dfc4543713d1854f3c0ad532a055d2e761b"),
+    "linear"      -> (13, "4277d34d41d571305860f582ac22acf03891061e559352d9ff0a99fa8b3278d4"),
+    "normal"      -> (13, "d3285c468fccb5324d2dd381463ec1d3222a240ec2279c2a3cdd467606806970"),
+    "poisson"     -> (6,  "9b8ac30e0f1c9b17692c983fef55957c3cfe162de3666e479fb0b55aaaf7d501"),
+    "ml"          -> (2,  "a80392b32970d69543b7e9d90a41191725868eb046d1a5f8bb86ab8d55f56e18"),
+    "booksale"    -> (13, "5449c3952bf27c3e4f4d5f6ce24064841873030e6dd111b5609cdbc29d6f939f"),
+    "facebook"    -> (13, "26913de3afded3cb88a9f83bd601f7a0aaca62163152772191be44672f170332"),
+    "wiki"        -> (13, "49530bdc6dd9c8230e026f720ea2bcc483280427c3426c3b14d8eef05f01594c"),
+    "movieid"     -> (2,  "dcca4f5214d7a7210c819737ab928a1852b8b63a942b09f5901bcc61df79e2c0"),
+    "house_price" -> (2,  "d6683f7ae2e520180c4e5a00ae37053d85d48ba4821e4fd06808742ef49a8a1d"),
   )) { vs => val c = new RansCodec(8).compress(vs); (c.blocks.length, c) }
 
   test("LeCo-str: bytes on the small email, hex and word sets at both bases are pinned") {
