@@ -41,7 +41,13 @@ object MicroBench {
   /** Runs per timed throughput figure (compress, decompress), of which the median counts. */
   val TimedRuns = 7
 
-  def medianOf(runs: Int)(ns: => Long): Long = Seq.fill(runs)(ns).sorted.apply(runs / 2)
+  /** The median of `runs` timings of `ns`, after as many untimed runs, so
+    * that the JIT has compiled the path on this input before it is timed.
+    */
+  def warmMedianOf(runs: Int)(ns: => Long): Long = {
+    (1 to runs).foreach(_ => ns)
+    Seq.fill(runs)(ns).sorted.apply(runs / 2)
+  }
 
   @volatile var sink: Long = 0 // defeat dead-code elimination
 
@@ -49,26 +55,26 @@ object MicroBench {
     codecFor(scheme, ds).map { codec =>
       val raw = ds.values.length.toLong * ds.rawBytesPerValue
       val compressed = codec.compress(ds.values)
-      // warm + verify correctness of the roundtrip while we are here
+      // verify the round trip
       val decoded = compressed.decompressAll()
       require(java.util.Arrays.equals(decoded, ds.values),
               s"$scheme roundtrip mismatch on ${ds.name}")
-      val compNs = medianOf(TimedRuns)(nanosOf { sink += codec.compress(ds.values).n })
-      val decompNs = medianOf(TimedRuns)(nanosOf { sink += compressed.decompressAll()(ds.values.length - 1) })
+      val compNs = warmMedianOf(TimedRuns)(nanosOf { sink += codec.compress(ds.values).n })
+      val decompNs = warmMedianOf(TimedRuns)(nanosOf { sink += compressed.decompressAll()(ds.values.length - 1) })
       // rANS/Delta random access is slow; cap the probe count for them
       val probes =
         if (scheme == "rANS" || scheme.startsWith("Delta")) math.min(accessCount, 2000)
         else math.min(accessCount, ds.values.length)
       val pos = positions(ds.values.length, probes, 0xC0FFEE)
-      // JIT-warm the random-access path before timing
-      var w = 0
-      while (w < math.min(2000, pos.length)) { sink += compressed.get(pos(w)); w += 1 }
-      var acc = 0L
-      val accessNs = nanosOf {
+      // one untimed pass over the same positions warms the random-access path
+      def pass(): Long = {
+        var acc = 0L
         var i = 0
         while (i < pos.length) { acc += compressed.get(pos(i)); i += 1 }
+        acc
       }
-      sink += acc
+      sink += pass()
+      val accessNs = nanosOf { sink += pass() }
       Measurement(ds.name, scheme,
         ratio = compressed.sizeBytes.toDouble / raw,
         modelRatio = compressed.modelBytes.toDouble / raw,

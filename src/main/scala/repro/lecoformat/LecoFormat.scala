@@ -2,7 +2,8 @@ package repro.lecoformat
 
 import java.io.{DataInputStream, DataOutputStream, BufferedInputStream, BufferedOutputStream, EOFException, FileInputStream, FileOutputStream, File, UTFDataFormatException}
 import java.nio.{BufferUnderflowException, ByteBuffer}
-import com.github.luben.zstd.{Zstd, ZstdException}
+import scala.collection.mutable.ArrayBuffer
+import com.github.luben.zstd.{Zstd, ZstdCompressCtx, ZstdException}
 import repro.core._
 import repro.core.baseline.{DictCodec, ForCodec}
 
@@ -79,11 +80,28 @@ object ChunkCodec {
   val HeaderBytes = 6
 
   def encode(values: Array[Long], enc: Encoding, partSize: Int, zstd: Boolean): Array[Byte] = {
-    val body    = enc.compress(values, partSize).toBytes
-    val payload = if (zstd) Zstd.compress(body, 3) else body
-    ByteBuffer.allocate(HeaderBytes + payload.length)
-      .put(enc.tag.toByte).put((if (zstd) 1 else 0).toByte).putInt(body.length).put(payload)
-      .array()
+    val framed = frame(enc.compress(values, partSize), enc, zstd)
+    if (framed.limit == framed.array.length) framed.array else java.util.Arrays.copyOf(framed.array, framed.limit)
+  }
+
+  /** The chunk of `body`, an `enc` representation: its bytes are the
+    * returned buffer's array up to its limit. The codec writes its layout
+    * straight behind the header, so without zstd the array is the chunk.
+    */
+  def frame(body: CompressedInts, enc: Encoding, zstd: Boolean): ByteBuffer = {
+    val rawLen = Math.toIntExact(body.sizeBytes)
+    val raw = ByteBuffer.allocate(HeaderBytes + rawLen)
+    raw.put(enc.tag.toByte).put(0.toByte).putInt(rawLen)
+    body.writeTo(raw)
+    if (raw.hasRemaining) throw new IllegalStateException(s"layout wrote ${raw.position() - HeaderBytes} of its $rawLen bytes")
+    if (!zstd) raw.flip()
+    else {
+      val bound = Math.toIntExact(Zstd.compressBound(rawLen))
+      val out = new Array[Byte](HeaderBytes + bound)
+      val ctx = new ZstdCompressCtx().setLevel(3) // Zstd.compress(body, 3)'s bytes, written behind the header
+      val stored = try ctx.compressByteArray(out, HeaderBytes, bound, raw.array, HeaderBytes, rawLen) finally ctx.close()
+      ByteBuffer.wrap(out, 0, HeaderBytes + stored).put(0, enc.tag.toByte).put(1, 1.toByte).putInt(2, rawLen)
+    }
   }
 
   /** Decodes a chunk, or says what is wrong with it and which `name` it has. */
@@ -124,49 +142,94 @@ object ChunkCodec {
 
 /** Part-file writer: `LECO1 | nCols | colNames | rowGroups* | -1`, where a
   * row group is its row count and, per column, `min | max | chunkLen | chunk`.
-  * One instance per task/file. Rows fill one `Array[Long]` per column, which
-  * grows up to `rowGroupRows` and is encoded as it is once the group is full.
+  * One instance per task/file. Rows go into one block per column. Under
+  * `For` and `LecoFix` a block is one partition, `partSize` values, which the
+  * codec's own partition encoder encodes as soon as it is full, so a group is
+  * never held whole; under `Default` the block is the group, which the
+  * dictionary needs. The zone maps take each block's min and max as it is
+  * taken. At a group's end each column's chunk is framed once, into the bytes
+  * [[ChunkCodec.encode]] gives for the group's values, and written once.
   */
 final class LecoFileWriter(file: File, columns: Seq[String], encoding: Encoding,
                            partSize: Int, zstd: Boolean, rowGroupRows: Int) {
+  require(partSize > 0, s"partSize $partSize is not positive")
   require(rowGroupRows > 0, s"rowGroupRows $rowGroupRows is not positive")
   private val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(file), 1 << 16))
-  // A small table never allocates a whole row group per column.
-  private var capacity = math.min(rowGroupRows, 4096)
-  private val buffers = Array.fill(columns.size)(new Array[Long](capacity))
-  private var rows = 0
+  // null under Default, whose chunk is encoded whole
+  private val encoder: PartitionEncoder[LecoPartition] = encoding match {
+    case Encoding.For     => LecoPartition.encoder(fit = false)
+    case Encoding.LecoFix => LecoPartition.encoder(fit = true)
+    case Encoding.Default => null
+  }
+  // Default's block grows to the group, so a small table never allocates a whole group per column.
+  private var capacity = math.min(rowGroupRows, if (encoder != null) partSize else 4096)
+  /** Each column's block: the next rows go to `blocks(c)(filled until filled + room)`, then to [[advance]]. */
+  private[lecoformat] val blocks = Array.fill(columns.size)(new Array[Long](capacity))
+  private[lecoformat] var filled = 0
+  private var rows = 0 // in the group
+  private val parts = Array.fill(columns.size)(new ArrayBuffer[LecoPartition])
+  private val mins = Array.fill(columns.size)(Long.MaxValue)
+  private val maxs = Array.fill(columns.size)(Long.MinValue)
   out.writeBytes("LECO1")
   out.writeInt(columns.size)
   columns.foreach(out.writeUTF)
 
-  def addRow(values: Array[Long]): Unit = {
-    if (rows == capacity) grow()
-    var c = 0
-    while (c < buffers.length) { buffers(c)(rows) = values(c); c += 1 }
-    rows += 1
+  /** Rows that fit in the blocks before the next [[advance]]: at least 1. */
+  private[lecoformat] def room: Int = math.min(capacity - filled, rowGroupRows - rows)
+
+  /** Takes the `k <= room` rows put in the blocks at `filled`. */
+  private[lecoformat] def advance(k: Int): Unit = {
+    filled += k; rows += k
     if (rows == rowGroupRows) flushGroup()
+    else if (filled == capacity) { if (encoder != null) takeBlocks() else grow() }
+  }
+
+  /** Appends one row, `values(c)` in column `c`. */
+  def addRow(values: Array[Long]): Unit = {
+    var c = 0
+    while (c < blocks.length) { blocks(c)(filled) = values(c); c += 1 }
+    advance(1)
   }
 
   private def grow(): Unit = {
     capacity = math.min(rowGroupRows.toLong, 2L * capacity).toInt
     var c = 0
-    while (c < buffers.length) { buffers(c) = java.util.Arrays.copyOf(buffers(c), capacity); c += 1 }
+    while (c < blocks.length) { blocks(c) = java.util.Arrays.copyOf(blocks(c), capacity); c += 1 }
+  }
+
+  /** Folds the blocks' `filled` values into the zone maps. Under `For` and
+    * `LecoFix`, encodes them as each column's next partition and empties the
+    * blocks.
+    */
+  private def takeBlocks(): Unit = {
+    var c = 0
+    while (c < blocks.length) {
+      val b = blocks(c)
+      var mn = mins(c); var mx = maxs(c)
+      var i = 0
+      while (i < filled) { val v = b(i); mn = Math.min(mn, v); mx = Math.max(mx, v); i += 1 }
+      mins(c) = mn; maxs(c) = mx
+      if (encoder != null) parts(c) += encoder(b, 0, filled)
+      c += 1
+    }
+    if (encoder != null) filled = 0
   }
 
   private def flushGroup(): Unit = if (rows > 0) {
+    if (filled > 0) takeBlocks()
     out.writeInt(rows)
     var c = 0
-    while (c < buffers.length) {
-      val vals = if (rows == capacity) buffers(c) else java.util.Arrays.copyOf(buffers(c), rows)
-      var mn = Long.MaxValue; var mx = Long.MinValue
-      var i = 0
-      while (i < rows) { val v = vals(i); if (v < mn) mn = v; if (v > mx) mx = v; i += 1 }
-      val bytes = ChunkCodec.encode(vals, encoding, partSize, zstd)
-      out.writeLong(mn); out.writeLong(mx); out.writeInt(bytes.length)
-      out.write(bytes)
+    while (c < blocks.length) {
+      val body =
+        if (encoder != null) new FixedPartitions(rows, partSize, parts(c).toArray)
+        else encoding.compress(if (rows == capacity) blocks(c) else java.util.Arrays.copyOf(blocks(c), rows), partSize)
+      val chunk = ChunkCodec.frame(body, encoding, zstd)
+      out.writeLong(mins(c)); out.writeLong(maxs(c)); out.writeInt(chunk.limit)
+      out.write(chunk.array, 0, chunk.limit)
+      parts(c).clear(); mins(c) = Long.MaxValue; maxs(c) = Long.MinValue
       c += 1
     }
-    rows = 0
+    rows = 0; filled = 0
   }
 
   def close(): Unit = { flushGroup(); out.writeInt(-1); out.flush(); out.close() }

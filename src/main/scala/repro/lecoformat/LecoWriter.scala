@@ -5,26 +5,34 @@ import java.nio.file.{Files, Paths, StandardCopyOption}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.connector.write._
+import org.apache.spark.sql.types.LongType
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
 /** Writes a DataFrame to a `leco` table directory, one part file per Spark
   * partition, through the DataSourceV2 write path: the encode runs inside
-  * executor tasks, per column chunk, matching the repro target of applying
-  * LeCo during columnar encode in the executors.
+  * executor tasks, each column's partitions as their rows arrive, matching
+  * the repro target of applying LeCo during columnar encode in the executors.
   */
 object LecoWriter {
 
   /** Replaces the table at `dir`. Every column must be castable to BIGINT
-    * (integral, date or timestamp).
+    * (integral or timestamp): each column that is not BIGINT is written as
+    * Spark's `CAST(… AS BIGINT)` of it, and a frame of BIGINT columns is
+    * written as it is.
     */
   def write(df: DataFrame, dir: String, encoding: Encoding,
             partSize: Int = LecoWriteOptions.Defaults.partSize, zstd: Boolean = LecoWriteOptions.Defaults.zstd,
-            rowGroupRows: Int = LecoWriteOptions.Defaults.rowGroupRows): Unit =
-    df.selectExpr(df.columns.toSeq.map(c => s"CAST(`$c` AS BIGINT) AS `$c`"): _*)
-      .write.format("leco").mode("overwrite")
+            rowGroupRows: Int = LecoWriteOptions.Defaults.rowGroupRows): Unit = {
+    val longs =
+      if (df.schema.fields.forall(_.dataType == LongType)) df
+      else df.selectExpr(df.schema.fields.toSeq.map { f =>
+        if (f.dataType == LongType) s"`${f.name}`" else s"CAST(`${f.name}` AS BIGINT) AS `${f.name}`"
+      }: _*)
+    longs.write.format("leco").mode("overwrite")
       .option("encoding", encoding.toString).option("partSize", partSize)
       .option("zstd", zstd).option("rowGroupRows", rowGroupRows)
       .save(dir)
+  }
 }
 
 /** The write options of `df.write.format("leco")`: `encoding` (`Default`,
@@ -119,23 +127,34 @@ final case class LecoDataWriterFactory(staging: String, columns: Array[String], 
   }
 }
 
-/** Copies each row's longs into the file writer's row-group buffers, in
-  * `file`, which the job commit moves to the part file named `part`. A null
-  * fails the write: `getLong` would read it as 0.
+/** Copies each row's longs straight into the file writer's column blocks,
+  * in `file`, which the job commit moves to the part file named `part`. A
+  * null fails the write: `getLong` would read it as 0.
   */
 final class LecoDataWriter(file: File, part: String, columns: Array[String], o: LecoWriteOptions)
     extends DataWriter[InternalRow] {
   private val out = new LecoFileWriter(file, columns.toSeq, o.encoding, o.partSize, o.zstd, o.rowGroupRows)
-  private val row = new Array[Long](columns.length)
 
-  override def write(r: InternalRow): Unit = {
+  override def write(r: InternalRow): Unit = { put(r, out.blocks, out.filled); out.advance(1) }
+
+  /** Fills the blocks' room from `rows`, hands the rows to the file writer, and again. */
+  override def writeAll(rows: java.util.Iterator[InternalRow]): Unit =
+    while (rows.hasNext) {
+      val blocks = out.blocks
+      val from = out.filled
+      val end = from + out.room
+      var i = from
+      while (i < end && rows.hasNext) { put(rows.next(), blocks, i); i += 1 }
+      out.advance(i - from)
+    }
+
+  private def put(r: InternalRow, blocks: Array[Array[Long]], at: Int): Unit = {
     var c = 0
-    while (c < row.length) {
+    while (c < blocks.length) {
       if (r.isNullAt(c)) throw new IllegalArgumentException(s"null in column ${columns(c)}: a leco column holds no nulls")
-      row(c) = r.getLong(c)
+      blocks(c)(at) = r.getLong(c)
       c += 1
     }
-    out.addRow(row)
   }
 
   override def commit(): WriterCommitMessage = { out.close(); LecoCommitMessage(file.getPath, part) }

@@ -29,6 +29,16 @@ class ChunkCodecSpec extends AnyFunSuite {
     }
   }
 
+  test("a chunk is its header, then the codec's toBytes, zstd-compressed at level 3 under zstd") {
+    for ((name, values) <- cases; enc <- Seq(Encoding.Default, Encoding.For, Encoding.LecoFix); zstd <- Seq(false, true)) {
+      val body = enc.compress(values, 512).toBytes
+      val head = java.nio.ByteBuffer.allocate(ChunkCodec.HeaderBytes)
+        .put(enc.tag.toByte).put((if (zstd) 1 else 0).toByte).putInt(body.length).array()
+      val want = head ++ (if (zstd) com.github.luben.zstd.Zstd.compress(body, 3) else body)
+      assert(ChunkCodec.encode(values, enc, 512, zstd).sameElements(want), s"$enc(zstd=$zstd) $name")
+    }
+  }
+
   test("Default picks dictionary for low-cardinality, plain for unique") {
     val low = ChunkCodec.encode(Array.fill(1000)(3L), Encoding.Default, 512, zstd = false)
     val uni = ChunkCodec.encode(Array.tabulate(1000)(_ * 7919L), Encoding.Default, 512, zstd = false)

@@ -157,6 +157,84 @@ class LecoFormatSpec extends SparkSpec {
       assert(back.sorted.sameElements(parts.flatten.sorted))
     }
 
+  /** Asserts that `file`, written from `rows` with `(enc, partSize, zstd,
+    * groupRows)`, holds each group's chunk as `ChunkCodec.encode` of the
+    * group's values, read at the reader's offsets, with the group's min and
+    * max as its zone map.
+    */
+  private def assertChunksEncodeGroups(file: File, rows: Seq[(Long, Long)], enc: Encoding, partSize: Int,
+                                       zstd: Boolean, groupRows: Int): Unit = {
+    val r = new LecoFileReader(file)
+    val groups = rows.grouped(groupRows).toSeq
+    assert(r.numGroups == groups.size, file)
+    val raf = new java.io.RandomAccessFile(file, "r")
+    try for ((group, g) <- groups.zipWithIndex; c <- 0 until 2) {
+      val vals = group.map(row => if (c == 0) row._1 else row._2).toArray
+      val (_, _, _, offs, lens) = r.groups(g)
+      val stored = new Array[Byte](lens(c))
+      raf.seek(offs(c)); raf.readFully(stored)
+      assert(r.groupRows(g) == vals.length)
+      assert(stored.sameElements(ChunkCodec.encode(vals, enc, partSize, zstd)), s"$file group $g column $c")
+      assert(r.zone(g, c) == ((vals.min, vals.max)), s"$file group $g column $c")
+    } finally raf.close()
+  }
+
+  for (enc <- Seq(Encoding.Default, Encoding.For, Encoding.LecoFix); zstd <- Seq(false, true))
+    test(s"$enc(zstd=$zstd): every chunk written is ChunkCodec.encode of its group, through every writer") {
+      val (df, parts) = partitioned
+      // 5000 rows a group hold partial partitions of 256 and end with a short
+      // group; groups of 100 are shorter than one partition of 256
+      for (groupRows <- Seq(5000, 100)) {
+        val opts = Map("encoding" -> enc.toString, "partSize" -> "256", "zstd" -> zstd.toString,
+                       "rowGroupRows" -> groupRows.toString)
+        val viaFormat = s"$base/oracle_format_${enc}_${zstd}_$groupRows"
+        df.write.format("leco").mode("overwrite").options(opts).save(viaFormat)
+        val viaWriter = s"$base/oracle_writer_${enc}_${zstd}_$groupRows"
+        LecoWriter.write(df, viaWriter, enc, partSize = 256, zstd = zstd, rowGroupRows = groupRows)
+        for (dir <- Seq(viaFormat, viaWriter); (rows, f) <- parts.zip(LecoTable.partFiles(dir)))
+          assertChunksEncodeGroups(f, rows, enc, 256, zstd, groupRows)
+        for ((rows, i) <- parts.zipWithIndex) {
+          val direct = new File(s"$base/oracle_direct_${enc}_${zstd}_${groupRows}_$i.leco")
+          val w = new LecoFileWriter(direct, Seq("ts", "id"), enc, 256, zstd, groupRows)
+          rows.foreach { case (t, id) => w.addRow(Array(t, id)) }
+          w.close()
+          assertChunksEncodeGroups(direct, rows, enc, 256, zstd, groupRows)
+        }
+      }
+    }
+
+  test("LecoWriter.write stores each non-BIGINT column as Spark's CAST to BIGINT, and a BIGINT frame as it is") {
+    import spark.implicits._
+    val df = Seq(("1969-12-31 23:59:58.75", Int.MinValue, Long.MinValue), ("1970-01-01 00:00:00", -1, 0L),
+                 ("2024-02-29 12:34:56.789", Int.MaxValue, Long.MaxValue), ("9999-12-31 23:59:59", 7, -7L))
+      .toDF("t", "i", "l").selectExpr("CAST(t AS TIMESTAMP) AS t", "i", "l")
+    val dir = s"$base/casts"
+    LecoWriter.write(df, dir, Encoding.LecoFix)
+    def rows(d: DataFrame) = d.collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2))).sorted.toSeq
+    assert(rows(spark.read.format("leco").load(dir)) ==
+             rows(df.selectExpr("CAST(t AS BIGINT)", "CAST(i AS BIGINT)", "CAST(l AS BIGINT)")))
+    // Spark casts no DATE to BIGINT, and neither does the write
+    val dates = Seq("2024-01-01").toDF("s").selectExpr("CAST(s AS DATE) AS d")
+    val cast = intercept[Exception](dates.selectExpr("CAST(d AS BIGINT)").collect())
+    val write = intercept[Exception](LecoWriter.write(dates, s"$base/dates", Encoding.LecoFix))
+    assert(write.getClass == cast.getClass && messages(write).contains("cannot cast \"DATE\" to \"BIGINT\""),
+           messages(write))
+    assert(!new File(s"$base/dates").exists)
+    val longs = spark.range(-500, 1500, 3, 3).selectExpr("id AS a", "id * 1000003 AS b")
+    LecoWriter.write(longs, s"$base/longs", Encoding.For, partSize = 64, rowGroupRows = 100)
+    assert(rows(spark.read.format("leco").load(s"$base/longs").selectExpr("a", "b", "a")) ==
+             rows(longs.selectExpr("a", "b", "a")))
+  }
+
+  test("LecoFileWriter rejects a partition size that is not positive, naming it, and creates no file") {
+    for (enc <- Seq(Encoding.Default, Encoding.For, Encoding.LecoFix); size <- Seq(0, -3)) {
+      val f = new File(s"$base/partsize_${enc}_$size.leco")
+      val e = intercept[IllegalArgumentException](new LecoFileWriter(f, Seq("v"), enc, size, zstd = false, 100))
+      assert(e.getMessage.contains(s"partSize $size is not positive"), e.getMessage)
+      assert(!f.exists)
+    }
+  }
+
   test("integral columns of any width are cast exactly; other types are rejected before writing") {
     import spark.implicits._
     val ints = Seq(Int.MinValue, -70_000, -1, 0, 1, Int.MaxValue)
