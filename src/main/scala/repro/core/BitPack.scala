@@ -11,7 +11,7 @@ import java.nio.{BufferUnderflowException, ByteBuffer, ByteOrder}
   * where a partition's model is exact.
   *
   * This is the physical layer under every fixed-width delta array in the
-  * repo (LeCo, FOR, Delta, Elias-Fano lower bits).
+  * repo (LeCo, FOR, Delta, Elias-Fano lower bits) and the dictionary codes.
   */
 object BitPack {
 
@@ -31,55 +31,15 @@ object BitPack {
     */
   def pack(values: Array[Long], from: Int, until: Int, b: Int): Array[Long] = {
     require(b >= 0 && b <= 64, s"width $b out of range")
-    val n     = until - from
-    val words = new Array[Long](wordsFor(n, b))
-    if (b == 0) return words
-    var i = 0
-    while (i < n) {
-      val v = values(from + i)
+    val out = new Writer(new Array[Long](wordsFor(until - from, b)), b)
+    var i = from
+    while (i < until) {
+      val v = values(i)
       require(b == 64 || (v >= 0 && (b == 63 || v < (1L << b))), s"value $v does not fit in $b bits")
-      write(words, i.toLong * b, b, v)
+      out.put(v)
       i += 1
     }
-    words
-  }
-
-  def pack(values: Array[Long], b: Int): Array[Long] = pack(values, 0, values.length, b)
-
-  /** Pack `src(j) - base` for `j < n` at width `b`, one word at a time.
-    * Every difference must fit in `b` bits, read unsigned.
-    */
-  def packAbove(src: Array[Long], n: Int, base: Long, b: Int): Array[Long] = {
-    val words = new Array[Long](wordsFor(n, b))
-    if (b == 0) return words
-    var cur  = 0L // the word being filled, `used` bits of it so far
-    var used = 0
-    var w = 0
-    var j = 0
-    while (j < n) {
-      val v = src(j) - base
-      cur |= v << used
-      used += b
-      if (used >= 64) {
-        words(w) = cur
-        w += 1
-        used -= 64
-        cur = if (used == 0) 0L else v >>> (b - used)
-      }
-      j += 1
-    }
-    if (used > 0) words(w) = cur
-    words
-  }
-
-  /** Write `b` bits of `v` at absolute bit offset `bitPos`. */
-  def write(words: Array[Long], bitPos: Long, b: Int, v: Long): Unit = {
-    if (b == 0) return
-    val w   = (bitPos >>> 6).toInt
-    val off = (bitPos & 63).toInt
-    words(w) |= (v << off)
-    val spill = off + b - 64
-    if (spill > 0) words(w + 1) |= (v >>> (64 - off))
+    out.finish()
   }
 
   /** Read the `b`-bit unsigned value at logical index `i` (bit offset b*i):
@@ -153,6 +113,35 @@ object BitPack {
       pos += b
       val lo = ws(w) >>> off
       (if (off + b > 64) lo | (ws(w + 1) << (64 - off)) else lo) & mask
+    }
+  }
+
+  /** Packs values of width `b` into `words` from index 0 on: every
+    * sequential encode's writer, the mirror of [[Reader]]. It holds the word
+    * being filled, so each word is stored once, when it is full, and
+    * [[finish]] stores the last, partial one. Unchecked: each value must fit
+    * in `b` bits, read unsigned; [[pack]] is the checked loop over it.
+    */
+  final class Writer(words: Array[Long], b: Int) {
+    private[this] var cur  = 0L // the word being filled, `used` bits of it so far
+    private[this] var used = 0
+    private[this] var w    = 0 // its index
+
+    def put(v: Long): Unit = {
+      cur |= v << used
+      used += b
+      if (used >= 64) {
+        words(w) = cur
+        w += 1
+        used -= 64
+        cur = if (used == 0) 0L else v >>> (b - used) // the bits that did not fit
+      }
+    }
+
+    /** Stores the partial last word, if any, and returns `words`. */
+    def finish(): Array[Long] = {
+      if (used > 0) words(w) = cur
+      words
     }
   }
 

@@ -43,7 +43,6 @@ object Partitioner {
     val minStart: Int = 2
   }
 
-  @inline private def zigzag(d: Long): Long = (d << 1) ^ (d >> 63)
   @inline private def umax(a: Long, b: Long): Long = if (java.lang.Long.compareUnsigned(a, b) >= 0) a else b
 
   /** Interior-diff aggregates of a partition's `len` diffs, combinable across

@@ -81,7 +81,11 @@ private[core] final class LineFit(keepDeltas: Boolean = false) {
   /** The partition of the last window of `len` values, its deltas packed above the anchor. */
   def toPartition(len: Int): LecoPartition = {
     require(keepDeltas, "a LineFit without deltas cannot encode")
-    LecoPartition(dMin, slope, shift, phase, width, len, BitPack.packAbove(deltas, len, dMin, width))
+    val b = width
+    val out = new BitPack.Writer(new Array[Long](BitPack.wordsFor(len, b)), b)
+    var j = 0
+    while (j < len) { out.put(deltas(j) - dMin); j += 1 }
+    LecoPartition(dMin, slope, shift, phase, b, len, out.finish())
   }
 
   /** Least-squares θ1 over positions `0..n-1`, in fixed point, then its

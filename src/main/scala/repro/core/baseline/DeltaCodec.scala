@@ -41,8 +41,6 @@ final case class DeltaPartition(first: Long, width: Int, len: Int, words: Array[
 }
 
 object DeltaPartition {
-  @inline def zigzag(d: Long): Long = (d << 1) ^ (d >> 63)
-
   def encode(values: Array[Long], from: Int, until: Int): DeltaPartition = {
     val n = until - from
     var maxZ = 0L // unsigned: a diff of 2^62 or more zigzags past Long.MaxValue
@@ -53,13 +51,10 @@ object DeltaPartition {
       k += 1
     }
     val b = BitPack.bitsFor(maxZ)
-    val words = new Array[Long](BitPack.wordsFor(n - 1, b))
+    val out = new BitPack.Writer(new Array[Long](BitPack.wordsFor(n - 1, b)), b)
     k = from + 1
-    while (k < until) {
-      BitPack.write(words, (k - from - 1).toLong * b, b, zigzag(values(k) - values(k - 1)))
-      k += 1
-    }
-    DeltaPartition(values(from), b, n, words)
+    while (k < until) { out.put(zigzag(values(k) - values(k - 1))); k += 1 }
+    DeltaPartition(values(from), b, n, out.finish())
   }
 
   def read(buf: ByteBuffer): DeltaPartition = {
@@ -84,7 +79,7 @@ object DeltaFixCodec {
     */
   val costAt: SizeCost = new SizeCost(Codec.SimpleHeaderBytes) {
     def on(values: Array[Long]): (Int, Int) => Long = {
-      val z = Array.tabulate(values.length)(k => if (k == 0) 0L else DeltaPartition.zigzag(values(k) - values(k - 1)))
+      val z = Array.tabulate(values.length)(k => if (k == 0) 0L else zigzag(values(k) - values(k - 1)))
       (s, e) => {
         var bits = 0L
         var k = s + 1

@@ -21,10 +21,10 @@ object DictCodec extends IntCodec {
       val index = new java.util.HashMap[java.lang.Long, Integer]()
       dict.zipWithIndex.foreach { case (v, i) => index.put(v, i) }
       val width = math.max(1, BitPack.bitsFor(dict.length - 1L))
-      val codes = new Array[Long](values.length)
+      val codes = new BitPack.Writer(new Array[Long](BitPack.wordsFor(values.length, width)), width)
       var i = 0
-      while (i < values.length) { codes(i) = index.get(values(i)).longValue(); i += 1 }
-      new DictCompressed(values.length, dict, width, BitPack.pack(codes, width))
+      while (i < values.length) { codes.put(index.get(values(i)).longValue()); i += 1 }
+      new DictCompressed(values.length, dict, width, codes.finish())
     }
   }
 

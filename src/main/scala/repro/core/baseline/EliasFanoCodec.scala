@@ -147,17 +147,17 @@ object EfPartition {
     val base = values(from)
     val u    = values(until - 1) - base
     val l    = lowBits(n, u)
-    val low  = new Array[Long](BitPack.wordsFor(n, l))
+    val low  = new BitPack.Writer(new Array[Long](BitPack.wordsFor(n, l)), l)
     val high = new Array[Long](highWords(n, u, l))
     var j = 0
     while (j < n) {
       val v  = values(from + j) - base
-      if (l > 0) BitPack.write(low, j.toLong * l, l, v & ((1L << l) - 1))
+      low.put(v & ((1L << l) - 1))
       val pos = j + (v >>> l).toInt
       high(pos >>> 6) |= 1L << (pos & 63)
       j += 1
     }
-    EfPartition(base, l, n, low, high)
+    EfPartition(base, l, n, low.finish(), high)
   }
 
   def read(buf: ByteBuffer): EfPartition = {

@@ -12,11 +12,11 @@ package repro.core.str
   * Deviation (DESIGN.md): greedy one-shot symbol selection instead of
   * FSST's iterative refinement; interface and cost model are preserved.
   */
-final class FsstCodec(val offsetBlock: Int = 0, val maxSymbols: Int = 254) extends StringCodec {
+final class FsstCodec(val offsetBlock: Int = 0) extends StringCodec {
   val name = s"FSST(b=$offsetBlock)"
 
   def compress(values: Array[String]): FsstCompressed = {
-    val table = FsstCodec.train(values, maxSymbols)
+    val table = FsstCodec.train(values)
     val lookup = new java.util.HashMap[String, Integer]()
     table.zipWithIndex.foreach { case (s, i) => lookup.put(s, i) }
     val maxSymLen = if (table.isEmpty) 0 else table.iterator.map(_.length).max
@@ -50,10 +50,12 @@ final class FsstCodec(val offsetBlock: Int = 0, val maxSymbols: Int = 254) exten
 }
 
 object FsstCodec {
+  val MaxSymbols = 254 // codes 0–253; 255 escapes a literal byte
+
   /** Train the symbol table on a sample: count substrings of length 2–8,
-    * rank by (len−1)·count, take the top `maxSymbols`.
+    * rank by (len−1)·count, take the top [[MaxSymbols]].
     */
-  def train(values: Array[String], maxSymbols: Int): Array[String] = {
+  def train(values: Array[String]): Array[String] = {
     val counts = new java.util.HashMap[String, Long]()
     val step = math.max(1, values.length / 4096) // sample ~4K strings
     var i = 0
@@ -75,7 +77,7 @@ object FsstCodec {
       .map { case (s, c) => (s, (s.length - 1).toLong * c) }
       .filter(_._2 > 1)
       .sortBy { case (s, gain) => (-gain, s) }
-      .take(maxSymbols)
+      .take(MaxSymbols)
       .map(_._1)
       .toArray
   }

@@ -180,8 +180,10 @@ object StringPartition {
       line.window(chosen, 0, n, fit.slope, fit.shift).toPartition(n)
     }
     // 5. lengths
-    val lens = BitPack.pack(suffixes.map(_.length.toLong), BitPack.bitsFor(maxLen))
-    new StringPartition(prefix, new String(letters), pow2, maxLen, n, lens, limbs)
+    val lenWidth = BitPack.bitsFor(maxLen)
+    val lens = new BitPack.Writer(new Array[Long](BitPack.wordsFor(n, lenWidth)), lenWidth)
+    suffixes.foreach(s => lens.put(s.length))
+    new StringPartition(prefix, new String(letters), pow2, maxLen, n, lens.finish(), limbs)
   }
 
   /** Reads a partition of `len` values as `writeTo` writes it. */

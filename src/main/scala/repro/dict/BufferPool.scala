@@ -3,41 +3,21 @@ package repro.dict
 import java.io.{File, RandomAccessFile}
 
 /** File-backed page store with an LRU buffer pool — the memory-budget
-  * substrate for the §4.4 dictionary experiment.
-  *
-  * Pages are fetched from the backing file on miss. Because the host OS page
-  * cache makes re-reads memory-speed, the pool *models* NVMe direct-I/O by
-  * accounting `missLatencyNanos` per miss into `modeledIoNanos`; benches
-  * report composite time = measured CPU + modeled I/O (DESIGN.md: hardware
-  * substitution).
+  * substrate for the §4.4 dictionary experiment. Pages are fetched from the
+  * backing file on a miss, which is charged 20 µs of modeled NVMe
+  * direct-I/O time.
   */
-final class BufferPool(file: File, val pageSize: Int, budgetBytes: Long,
-                       val missLatencyNanos: Long = 20_000) {
+final class BufferPool(file: File, val pageSize: Int, budgetBytes: Long)
+    extends LruBlockCache(budgetBytes, pageSize, missLatencyNanos = 20_000) {
   private val raf = new RandomAccessFile(file, "r")
-  private val maxPages = math.max(1, (budgetBytes / pageSize).toInt)
-  var hits: Long = 0
-  var misses: Long = 0
 
-  private val lru = new java.util.LinkedHashMap[Int, Array[Byte]](16, 0.75f, true) {
-    override def removeEldestEntry(e: java.util.Map.Entry[Int, Array[Byte]]): Boolean =
-      size() > maxPages
-  }
-
-  def modeledIoNanos: Long = misses * missLatencyNanos
-
-  def readPage(pageId: Int): Array[Byte] = {
-    val cached = lru.get(pageId)
-    if (cached != null) { hits += 1; cached }
-    else {
-      misses += 1
-      val buf = new Array[Byte](pageSize)
-      raf.seek(pageId.toLong * pageSize)
-      val fileLen = raf.length()
-      val want = math.min(pageSize.toLong, fileLen - pageId.toLong * pageSize).toInt
-      raf.readFully(buf, 0, math.max(0, want))
-      lru.put(pageId, buf)
-      buf
-    }
+  protected def load(pageId: Int): Array[Byte] = {
+    val buf = new Array[Byte](pageSize)
+    raf.seek(pageId.toLong * pageSize)
+    val fileLen = raf.length()
+    val want = math.min(pageSize.toLong, fileLen - pageId.toLong * pageSize).toInt
+    raf.readFully(buf, 0, math.max(0, want))
+    buf
   }
 
   /** Read an arbitrary `[off, off+len)` byte range through the pool. */
@@ -49,7 +29,7 @@ final class BufferPool(file: File, val pageSize: Int, budgetBytes: Long,
       val page   = (pos / pageSize).toInt
       val inPage = (pos % pageSize).toInt
       val take   = math.min(len - done, pageSize - inPage)
-      System.arraycopy(readPage(page), inPage, out, done, take)
+      System.arraycopy(block(page), inPage, out, done, take)
       done += take
     }
     out
@@ -60,6 +40,5 @@ final class BufferPool(file: File, val pageSize: Int, budgetBytes: Long,
     java.nio.ByteBuffer.wrap(b).getLong
   }
 
-  def resetStats(): Unit = { hits = 0; misses = 0 }
   def close(): Unit = raf.close()
 }

@@ -43,7 +43,7 @@ object DictBench {
   }
 
   /** One measured run: warm pass, stats reset, measured pass. */
-  def run(w: Workload, codec: String, budget: Long, filterMod: Int = 100): Result = {
+  def run(w: Workload, codec: String, budget: Long): Result = {
     val dict = buildDict(codec, w.domain, budget)
     try {
       var matches = 0L
@@ -51,7 +51,7 @@ object DictBench {
         matches = 0
         var i = 0
         while (i < w.codes.length) {
-          if (i % filterMod == 0) { // 1% filter on the probe side
+          if (i % 100 == 0) { // 1% filter on the probe side
             val v = dict.lookup(w.codes(i))
             if (w.hash.contains(v)) matches += 1
           }

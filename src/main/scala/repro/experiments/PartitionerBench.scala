@@ -17,25 +17,20 @@ object PartitionerBench {
 
   def fig15(scaleDiv: Int = 400): Seq[Fig15Row] =
     Datasets.integerDatasets(scaleDiv).map { ds =>
-      val raw = ds.values.length.toLong * ds.rawBytesPerValue
-      def ratioOf(c: repro.core.IntCodec): Double = c.compress(ds.values).sizeBytes.toDouble / raw
       Fig15Row(ds.name,
-               ratioOf(new LecoFixCodec(0)),
-               ratioOf(new LecoVarCodec(0.1)),
-               ratioOf(new AngleCodec(8)))
+               new LecoFixCodec(0).ratio(ds.values, ds.rawBytesPerValue),
+               new LecoVarCodec(0.1).ratio(ds.values, ds.rawBytesPerValue),
+               new AngleCodec(8).ratio(ds.values, ds.rawBytesPerValue))
     }
 
   /** ε swept 3..13 bits (angle), τ swept 0..0.2 (var), on booksale. */
   def fig16(scaleDiv: Int = 400): Seq[SweepRow] = {
     val ds = Datasets.integerDatasets(scaleDiv).find(_.name == "booksale").get
-    val raw = ds.values.length.toLong * ds.rawBytesPerValue
     val angle = (3 to 13 by 2).map { eps =>
-      SweepRow("LeCo-angle(eps)", eps.toDouble,
-               new AngleCodec(eps).compress(ds.values).sizeBytes.toDouble / raw)
+      SweepRow("LeCo-angle(eps)", eps.toDouble, new AngleCodec(eps).ratio(ds.values, ds.rawBytesPerValue))
     }
     val vr = Seq(0.0, 0.05, 0.1, 0.15, 0.2).map { tau =>
-      SweepRow("LeCo-var(tau)", tau,
-               new LecoVarCodec(tau).compress(ds.values).sizeBytes.toDouble / raw)
+      SweepRow("LeCo-var(tau)", tau, new LecoVarCodec(tau).ratio(ds.values, ds.rawBytesPerValue))
     }
     angle ++ vr
   }

@@ -142,7 +142,8 @@ object ChunkCodec {
 
 /** Part-file writer: `LECO1 | nCols | colNames | rowGroups* | -1`, where a
   * row group is its row count and, per column, `min | max | chunkLen | chunk`.
-  * One instance per task/file. Rows go into one block per column. Under
+  * One instance per task/file, written with `o`'s encoding, partition size,
+  * zstd flag and group size. Rows go into one block per column. Under
   * `For` and `LecoFix` a block is one partition, `partSize` values, which the
   * codec's own partition encoder encodes as soon as it is full, so a group is
   * never held whole; under `Default` the block is the group, which the
@@ -150,10 +151,8 @@ object ChunkCodec {
   * taken. At a group's end each column's chunk is framed once, into the bytes
   * [[ChunkCodec.encode]] gives for the group's values, and written once.
   */
-final class LecoFileWriter(file: File, columns: Seq[String], encoding: Encoding,
-                           partSize: Int, zstd: Boolean, rowGroupRows: Int) {
-  require(partSize > 0, s"partSize $partSize is not positive")
-  require(rowGroupRows > 0, s"rowGroupRows $rowGroupRows is not positive")
+final class LecoFileWriter(file: File, columns: Seq[String], o: LecoWriteOptions) {
+  import o.{encoding, partSize, rowGroupRows, zstd}
   private val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(file), 1 << 16))
   // null under Default, whose chunk is encoded whole
   private val encoder: PartitionEncoder[LecoPartition] = encoding match {

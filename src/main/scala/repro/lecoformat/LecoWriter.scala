@@ -133,7 +133,7 @@ final case class LecoDataWriterFactory(staging: String, columns: Array[String], 
   */
 final class LecoDataWriter(file: File, part: String, columns: Array[String], o: LecoWriteOptions)
     extends DataWriter[InternalRow] {
-  private val out = new LecoFileWriter(file, columns.toSeq, o.encoding, o.partSize, o.zstd, o.rowGroupRows)
+  private val out = new LecoFileWriter(file, columns.toSeq, o)
 
   override def write(r: InternalRow): Unit = { put(r, out.blocks, out.filled); out.advance(1) }
 

@@ -87,8 +87,8 @@ final class RestartIntervalIndex(separators: Array[String], handles: Array[(Long
   * 64, the paper's setting). Random access needs only two memory probes per
   * entry, so binary search stays fast while the index shrinks.
   */
-final class LecoIndex(separators: Array[String], handles: Array[(Long, Int)],
-                      partSize: Int = 64) extends IndexBlock {
+final class LecoIndex(separators: Array[String], handles: Array[(Long, Int)]) extends IndexBlock {
+  private val partSize = 64
   private val keys: LecoStringCompressed =
     new LecoStringCodec(partSize, powerOfTwoBase = true).compress(separators)
   private val offsets: LecoFixCompressed =

@@ -1,47 +1,28 @@
 package repro.lsm
 
+import repro.dict.LruBlockCache
+
 /** Seek path over one SSTable with a byte-budgeted LRU block cache — the
   * end-to-end harness for the §5.2 experiment. The index block is pinned
   * (as in the paper's `pin_l0_filter_and_index_blocks_in_cache` setting),
   * so its size is charged against the cache budget and only the remainder
-  * holds data blocks. Block-cache misses read the file and are additionally
-  * charged `missLatencyNanos` of modeled direct-I/O time (DESIGN.md).
+  * holds data blocks of [[SSTable.BlockSize]]. Block-cache misses read the
+  * file and are additionally charged 100 µs of modeled direct-I/O time
+  * (DESIGN.md).
   */
-final class MiniLsm(table: SSTable, val index: IndexBlock,
-                    cacheBudgetBytes: Long, blockSize: Int = 4096,
-                    val missLatencyNanos: Long = 100_000) {
-  private val dataBudget = math.max(blockSize.toLong, cacheBudgetBytes - index.sizeBytes)
-  private val maxBlocks  = math.max(1, (dataBudget / blockSize).toInt)
-  var hits: Long = 0
-  var misses: Long = 0
+final class MiniLsm(table: SSTable, val index: IndexBlock, cacheBudgetBytes: Long)
+    extends LruBlockCache(cacheBudgetBytes - index.sizeBytes, SSTable.BlockSize, missLatencyNanos = 100_000) {
 
-  private val cache = new java.util.LinkedHashMap[Int, Array[Byte]](16, 0.75f, true) {
-    override def removeEldestEntry(e: java.util.Map.Entry[Int, Array[Byte]]): Boolean =
-      size() > maxBlocks
-  }
-
-  def modeledIoNanos: Long = misses * missLatencyNanos
+  protected def load(b: Int): Array[Byte] = table.readBlock(b)
 
   /** Returns the value for the smallest key >= `key` (a non-empty Seek). */
   def seek(key: String): Array[Byte] = {
     var b = index.findBlock(key)
     while (b < table.numBlocks) {
-      val block = {
-        val cached = cache.get(b)
-        if (cached != null) { hits += 1; cached }
-        else {
-          misses += 1
-          val raw = table.readBlock(b)
-          cache.put(b, raw)
-          raw
-        }
-      }
-      val v = table.searchBlock(block, key)
+      val v = table.searchBlock(block(b), key)
       if (v != null) return v
       b += 1
     }
     null
   }
-
-  def resetStats(): Unit = { hits = 0; misses = 0 }
 }

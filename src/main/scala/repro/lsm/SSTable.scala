@@ -45,11 +45,13 @@ final class SSTable(val file: File, val blockHandles: Array[(Long, Int)],
 }
 
 object SSTable {
+  /** The data-block size in bytes, which the block cache is counted in. */
+  val BlockSize = 4096
+
   /** Build from sorted (key, value) pairs; returns the table plus the raw
     * (uncompressed) index-entry material handed to index-block codecs.
     */
-  def build(file: File, records: Iterator[(String, Array[Byte])],
-            blockSize: Int = 4096): SSTable = {
+  def build(file: File, records: Iterator[(String, Array[Byte])]): SSTable = {
     val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(file), 1 << 16))
     val handles = new ArrayBuffer[(Long, Int)]()
     val seps = new ArrayBuffer[String]()
@@ -58,7 +60,7 @@ object SSTable {
     var lastKey: String = null
     for ((k, v) <- records) {
       val recLen = 2 + k.length + 2 + v.length
-      if (blockBytes > 0 && blockBytes + recLen > blockSize) {
+      if (blockBytes > 0 && blockBytes + recLen > BlockSize) {
         handles += ((blockStart, blockBytes))
         seps += lastKey
         blockStart += blockBytes

@@ -28,7 +28,7 @@ class BitPackSpec extends AnyFunSuite {
   }
 
   test("width 0 stores nothing and reads zeros") {
-    val w = BitPack.pack(Array(0L, 0L, 0L), 0)
+    val w = BitPack.pack(Array(0L, 0L, 0L), 0, 3, 0)
     assert(w.length == 0)
     // readAt with width 0 must be 0 regardless
     assert(BitPack.readAt(Array(0xffffffffffffffffL), 5, 0) == 0)
@@ -39,29 +39,21 @@ class BitPackSpec extends AnyFunSuite {
       val r = new scala.util.Random(b)
       val max = if (b == 64) Long.MaxValue else (1L << (b - 1)) // keep values in range
       val vals = Array.fill(257)(math.abs(r.nextLong()) % math.max(1, max))
-      val words = BitPack.pack(vals, b)
+      val words = BitPack.pack(vals, 0, vals.length, b)
       vals.indices.foreach(i => assert(BitPack.read(words, i, b) == vals(i), s"at $i"))
       assert(BitPack.unpackAll(words, vals.length, b).sameElements(vals))
     }
   }
 
   test("pack rejects out-of-range values") {
-    intercept[IllegalArgumentException](BitPack.pack(Array(8L), 3))
+    intercept[IllegalArgumentException](BitPack.pack(Array(8L), 0, 1, 3))
   }
 
   test("cross-word boundary values survive") {
     // width 60: values straddle word boundaries constantly
     val vals = Array.tabulate(100)(i => (1L << 59) + i)
-    val words = BitPack.pack(vals, 60)
+    val words = BitPack.pack(vals, 0, vals.length, 60)
     vals.indices.foreach(i => assert(BitPack.read(words, i, 60) == vals(i)))
-  }
-
-  test("write at arbitrary bit offsets composes") {
-    val words = new Array[Long](4)
-    BitPack.write(words, 3, 5, 21)
-    BitPack.write(words, 61, 10, 1000) // straddles word 0/1
-    assert(BitPack.readAt(words, 3, 5) == 21)
-    assert(BitPack.readAt(words, 61, 10) == 1000)
   }
 
   test("randomized widths and lengths roundtrip (200 cases)") {
@@ -71,9 +63,23 @@ class BitPackSpec extends AnyFunSuite {
       val n = 1 + r.nextInt(500)
       val mask = if (b == 64) -1L else (1L << b) - 1
       val safe = Array.fill(n)(r.nextLong() & mask & Long.MaxValue)
-      val words = BitPack.pack(safe, b)
+      val words = BitPack.pack(safe, 0, n, b)
       assert(BitPack.unpackAll(words, n, b).sameElements(safe), s"b=$b n=$n")
     }
+  }
+
+  test("the Writer's words are the reference packing and read back through read and Reader, at every width 0-64") {
+    for (b <- 0 to 64) check(Prop.forAll(boundaryLengths(b), Gen.long) { (n, seed) =>
+      val r = new scala.util.Random(seed)
+      val mask = if (b == 64) -1L else (1L << b) - 1
+      val vals = Array.fill(n)(r.nextLong() & mask)
+      val out = new BitPack.Writer(new Array[Long](BitPack.wordsFor(n, b)), b)
+      vals.foreach(out.put)
+      val words = out.finish()
+      val in = new BitPack.Reader(words, b)
+      words.sameElements(referencePack(vals, b)) &&
+        vals.indices.forall(i => BitPack.read(words, i, b) == vals(i)) && vals.forall(_ == in.next())
+    }, casesPerWidth)
   }
 
   // The streaming reader of every sequential decode against BitPack.read's
@@ -134,6 +140,30 @@ object BitPackSpec {
       4 -> Gen.choose(math.max(1, skip), 300),
       4 -> Gen.choose(1, 5).map(_ * perWords + skip),
       1 -> Gen.choose(65537, 70000))
+  }
+
+  /** Lengths whose payload of `b`-bit values ends exactly on a word
+    * boundary, where a writer must store a full word and carry nothing, and
+    * one value past it.
+    */
+  def boundaryLengths(b: Int): Gen[Int] = {
+    val perWords = 64 >> Integer.numberOfTrailingZeros(b | 64)
+    Gen.choose(1, 5).flatMap(k => Gen.oneOf(k * perWords, k * perWords + 1))
+  }
+
+  /** The reference packing, independent of [[BitPack.Writer]]: each value
+    * ORed into the words at bit offset `b·i`, one at a time.
+    */
+  def referencePack(values: Array[Long], b: Int): Array[Long] = {
+    val words = new Array[Long](BitPack.wordsFor(values.length, b))
+    if (b > 0) for (i <- values.indices) {
+      val bitPos = i.toLong * b
+      val w      = (bitPos >>> 6).toInt
+      val off    = (bitPos & 63).toInt
+      words(w) |= values(i) << off
+      if (off + b > 64) words(w + 1) |= values(i) >>> (64 - off)
+    }
+    words
   }
 
   def randomWords(count: Int, seed: Long): Array[Long] = {

@@ -115,6 +115,20 @@ class GoldenBytesSpec extends AnyFunSuite {
     "house_price" -> (2,  "d6683f7ae2e520180c4e5a00ae37053d85d48ba4821e4fd06808742ef49a8a1d"),
   )) { vs => val c = new RansCodec(8).compress(vs); (c.blocks.length, c) }
 
+  // Default's layout kind in place of a partitioning: 0 plain, 1 dictionary
+  // (booksale's codes are 12 bits wide, house_price's 9)
+  pinned("Default", Map(
+    "linear"      -> (0, "49f7978a56769f6938d2b8e584d6b40f10b2db91abb0d65357991348e521679c"),
+    "normal"      -> (0, "d5270cb8c9901829089f9a3752ed72d6715ce9b5bb1121901ec78839e75917cc"),
+    "poisson"     -> (0, "157ee0af12049a9c51c40a25fd76daa3fcc8bebe8475a6e2fc3e564201568617"),
+    "ml"          -> (0, "6f61a376255362c6b1f2232bc9ef3ddad65519bb31643d40b01b5352e640f41b"),
+    "booksale"    -> (1, "ba458165f3508cf2e8757b1fdcf81147d8cb882e4663a70e11d0497896253368"),
+    "facebook"    -> (0, "f4d9675f00e34e891a5d11c9a748e09969f0fb9f24ce2eace61681c727fc1444"),
+    "wiki"        -> (0, "d67919990583af58c6e183b0a303e62f1b6ac18818b0a549941d25530fb3a64b"),
+    "movieid"     -> (0, "e8bcffec4387c197a71bc6bf656429ae7e4a548323cae12cc140af7f6efd1418"),
+    "house_price" -> (1, "d72267a865d4f0192cf99833797527623ab9555a6bbe952a931448e50cd32626"),
+  )) { vs => val c = DictCodec.compress(vs); (c.toBytes(0).toInt, c) }
+
   test("LeCo-str: bytes on the small email, hex and word sets at both bases are pinned") {
     val expected = Map(
       ("email", false) -> (13057L, "8094162de1fc8e58fc68373a667b79707a32a23b0cb6077ae3b9f8e9633cd5e1"),

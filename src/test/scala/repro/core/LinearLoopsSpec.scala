@@ -36,7 +36,7 @@ class LinearLoopsSpec extends AnyFunSuite {
       p.decodeInto(out, 0)
       (p.anchor, p.slope, p.shift, p.phase, p.width) == ((fit.anchor, fit.slope, fit.shift, fit.phase, fit.bitWidth)) &&
         p.len == until - from && p.anchor == ref.anchor && p.width == ref.width &&
-        p.words.sameElements(BitPack.pack(ref.deltas, ref.width)) && out.sameElements(vs.slice(from, until))
+        p.words.sameElements(BitPackSpec.referencePack(ref.deltas, ref.width)) && out.sameElements(vs.slice(from, until))
     })
   }
 

@@ -42,7 +42,7 @@ class FsstSpec extends AnyFunSuite {
   }
 
   test("trained table contains high-gain substrings") {
-    val table = FsstCodec.train(Array.fill(200)("abcabcabc"), 254)
+    val table = FsstCodec.train(Array.fill(200)("abcabcabc"))
     assert(table.nonEmpty)
     assert(table.exists(s => s.contains("abc") || s.contains("bca") || s.contains("cab")))
   }
@@ -50,7 +50,7 @@ class FsstSpec extends AnyFunSuite {
   test("symbol table is capped at maxSymbols") {
     val r = new scala.util.Random(5)
     val values = Array.fill(2000)((1 to 10).map(_ => ('a' + r.nextInt(26)).toChar).mkString)
-    assert(FsstCodec.train(values, 254).length <= 254)
+    assert(FsstCodec.train(values).length <= FsstCodec.MaxSymbols)
   }
 
   test("compresses repetitive data well below raw") {

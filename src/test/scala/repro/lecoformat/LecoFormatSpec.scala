@@ -148,7 +148,7 @@ class LecoFormatSpec extends SparkSpec {
       assert(files.map(_.getName).toSeq == parts.indices.map(i => f"part-$i%05d.leco"))
       for ((rows, f) <- parts.zip(files)) {
         val direct = new File(s"$base/direct_${enc}_$zstd.leco")
-        val w = new LecoFileWriter(direct, Seq("ts", "id"), enc, 256, zstd, 5000)
+        val w = new LecoFileWriter(direct, Seq("ts", "id"), LecoWriteOptions(enc, 256, zstd, 5000))
         rows.foreach { case (t, i) => w.addRow(Array(t, i)) }
         w.close()
         assert(Files.readAllBytes(f.toPath).sameElements(Files.readAllBytes(direct.toPath)), f)
@@ -195,7 +195,7 @@ class LecoFormatSpec extends SparkSpec {
           assertChunksEncodeGroups(f, rows, enc, 256, zstd, groupRows)
         for ((rows, i) <- parts.zipWithIndex) {
           val direct = new File(s"$base/oracle_direct_${enc}_${zstd}_${groupRows}_$i.leco")
-          val w = new LecoFileWriter(direct, Seq("ts", "id"), enc, 256, zstd, groupRows)
+          val w = new LecoFileWriter(direct, Seq("ts", "id"), LecoWriteOptions(enc, 256, zstd, groupRows))
           rows.foreach { case (t, id) => w.addRow(Array(t, id)) }
           w.close()
           assertChunksEncodeGroups(direct, rows, enc, 256, zstd, groupRows)
@@ -226,10 +226,11 @@ class LecoFormatSpec extends SparkSpec {
              rows(longs.selectExpr("a", "b", "a")))
   }
 
-  test("LecoFileWriter rejects a partition size that is not positive, naming it, and creates no file") {
+  test("LecoWriteOptions rejects partSize <= 0, naming it; no file is made") {
     for (enc <- Seq(Encoding.Default, Encoding.For, Encoding.LecoFix); size <- Seq(0, -3)) {
       val f = new File(s"$base/partsize_${enc}_$size.leco")
-      val e = intercept[IllegalArgumentException](new LecoFileWriter(f, Seq("v"), enc, size, zstd = false, 100))
+      val e = intercept[IllegalArgumentException](
+        new LecoFileWriter(f, Seq("v"), LecoWriteOptions(enc, size, zstd = false, 100)))
       assert(e.getMessage.contains(s"partSize $size is not positive"), e.getMessage)
       assert(!f.exists)
     }

@@ -259,7 +259,8 @@ object LecoReaderSpec {
     val dir = Files.createTempDirectory("lecoreader").toFile
     try {
       for ((cols, i) <- c.files.zipWithIndex) {
-        val w = new LecoFileWriter(new File(dir, f"part-$i%05d.leco"), Columns, c.enc, PartSize, c.zstd, c.groupRows)
+        val w = new LecoFileWriter(new File(dir, f"part-$i%05d.leco"), Columns,
+                                   LecoWriteOptions(c.enc, PartSize, c.zstd, c.groupRows))
         cols(0).indices.foreach(r => w.addRow(cols.map(_(r))))
         w.close()
       }
